@@ -1,4 +1,4 @@
-//! Per-backend SIMD microkernels and int8 quantized inference. The
+//! Per-backend SIMD microkernels and inference over int8-rounded weights. The
 //! measurement bodies live in `cirgps_bench::perf` so `bench_json` can
 //! snapshot them too.
 

@@ -442,15 +442,15 @@ pub fn full_pipeline_suite(c: &mut Criterion) {
     group.finish();
 }
 
-/// Per-backend microkernel sweep: the hot GEMM widths, the elementwise
-/// sweeps and the dequantizing int8 GEMM, each timed on every backend
+/// Per-backend microkernel sweep: the hot GEMM widths and the
+/// elementwise sweeps, each timed on every backend
 /// this CPU can execute (scalar always, AVX2/AVX-512 where the feature
 /// probes pass). Bench ids carry the backend (`gemm_n32/avx2`), so a
 /// trajectory file shows the dispatch win directly and a regression in
 /// either path is attributable.
 pub fn simd_kernels_suite(c: &mut Criterion) {
     use cirgps_nn::simd::ops;
-    use cirgps_nn::{Backend, QuantMatrix, Tensor};
+    use cirgps_nn::{Backend, Tensor};
 
     const M: usize = 64;
     const K: usize = 128;
@@ -471,21 +471,11 @@ pub fn simd_kernels_suite(c: &mut Criterion) {
         for n in [8usize, 32, 64] {
             let a = fill(M * K, 7);
             let b_mat = fill(K * n, 11);
-            let w = Tensor::from_vec(K, n, fill(K * n, 11));
-            let q = QuantMatrix::quantize(&w);
             group.bench_function(format!("gemm_n{n}/{backend}"), |b| {
                 let mut out = vec![0.0f32; M * n];
                 b.iter(|| {
                     out.iter_mut().for_each(|v| *v = 0.0);
                     ops::gemm(backend, &a, &b_mat, &mut out, M, K, n);
-                    std::hint::black_box(&out);
-                })
-            });
-            group.bench_function(format!("gemm_quant_n{n}/{backend}"), |b| {
-                let mut out = vec![0.0f32; M * n];
-                b.iter(|| {
-                    out.iter_mut().for_each(|v| *v = 0.0);
-                    ops::gemm_quant(backend, &a, &q, &mut out, M);
                     std::hint::black_box(&out);
                 })
             });
@@ -507,9 +497,10 @@ pub fn simd_kernels_suite(c: &mut Criterion) {
     group.finish();
 }
 
-/// int8 weight-only quantized inference vs f32, through the full batched
-/// tape-free engine — the number the `--quantize` export flag buys (or
-/// costs) in production serving. Same rotating batch windows as
+/// Inference over int8-rounded weights (`--quantize`) vs the unrounded
+/// f32 model, through the full batched tape-free engine. Both run the
+/// same f32 kernels, so the two rows should match. Same rotating batch
+/// windows as
 /// `table5_inference`, so `/f32` here is comparable to
 /// `predict_link_batched/32` there.
 pub fn quantized_infer_suite(c: &mut Criterion) {

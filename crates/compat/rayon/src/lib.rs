@@ -226,7 +226,7 @@ mod tests {
 
     #[test]
     fn par_iter_matches_iter() {
-        let v = vec![1, 2, 3, 4];
+        let v = [1, 2, 3, 4];
         let doubled: Vec<i32> = v.par_iter().map(|&x| x * 2).collect();
         assert_eq!(doubled, vec![2, 4, 6, 8]);
         let indexed: Vec<(usize, i32)> = v.par_iter().enumerate().map(|(i, &x)| (i, x)).collect();

@@ -51,10 +51,11 @@ pub const CHECKPOINT_VERSION: u32 = 2;
 /// Section name under which resumable-training state
 /// ([`crate::TrainState`]) is stored in a v2 container.
 pub const TRAIN_STATE_SECTION: &str = "train_state";
-/// Section name under which int8 weight quantization (per-tensor scales
-/// plus codes, see [`cirgps_nn::QuantMatrix`]) is stored in a v2
-/// container. Purely additive: readers predating the section — and
-/// checkpoints predating it — interoperate as pure f32.
+/// Section name of the int8 weight codes (per-tensor scales plus codes,
+/// see [`cirgps_nn::QuantMatrix`]) that older `--quantize` exports
+/// carry. Read-only: this build never writes it (`--quantize` now rounds
+/// the f32 weights in place), but it still loads such files, writing the
+/// dequantized codes into the named weights.
 pub const QUANT_SECTION: &str = "quant";
 
 /// Most sections a v2 container may carry; far above anything written
@@ -109,7 +110,7 @@ pub enum CheckpointError {
     Params(ParamLoadError),
     /// The `quant` section is malformed or inconsistent with the model
     /// (truncated payload, unknown parameter, shape mismatch, or a
-    /// weight this model cannot serve quantized).
+    /// weight this model never quantizes).
     Quant(String),
 }
 
@@ -341,11 +342,6 @@ impl CircuitGps {
     /// [`TRAIN_STATE_SECTION`]). Readers that only want the model ignore
     /// sections they don't recognize.
     ///
-    /// If the parameter store holds int8 weight snapshots (after
-    /// [`cirgps_nn::ParamStore::quantize_int8`], e.g. the CLI's
-    /// `--quantize` export flag), they are appended automatically as the
-    /// [`QUANT_SECTION`] and reapplied on load.
-    ///
     /// # Errors
     ///
     /// Propagates I/O errors from the writer.
@@ -362,23 +358,9 @@ impl CircuitGps {
         write_u64(&mut body, cfg_block.len() as u64)?;
         body.write_all(&cfg_block)?;
         self.store().save_blob(&mut body)?;
-        let quant_payload =
-            if self.store().has_quant() && !sections.iter().any(|(n, _)| *n == QUANT_SECTION) {
-                let mut payload = Vec::new();
-                self.store().save_quant_blob(&mut payload)?;
-                Some(payload)
-            } else {
-                None
-            };
-        let n_sections = sections.len() + usize::from(quant_payload.is_some());
-        write_u32(&mut body, n_sections as u32)?;
+        write_u32(&mut body, sections.len() as u32)?;
         for (name, payload) in sections {
             write_str(&mut body, name)?;
-            write_u64(&mut body, payload.len() as u64)?;
-            body.write_all(payload)?;
-        }
-        if let Some(payload) = &quant_payload {
-            write_str(&mut body, QUANT_SECTION)?;
             write_u64(&mut body, payload.len() as u64)?;
             body.write_all(payload)?;
         }
@@ -523,9 +505,8 @@ impl CircuitGps {
                 br.len()
             )));
         }
-        // Reapply int8 weight snapshots so a `--quantize`-exported model
-        // serves quantized by default (callers wanting pure f32 clear
-        // the snapshots with `store_mut().clear_quant()`).
+        // An older `--quantize` export keeps its int8 codes in a section
+        // next to the unrounded f32 blob; the codes are what it served.
         if let Some(payload) = sections
             .iter()
             .find(|(n, _)| n == QUANT_SECTION)
@@ -695,7 +676,7 @@ mod tests {
     }
 
     #[test]
-    fn quant_section_round_trips_and_serves_quantized() {
+    fn quantize_saves_rounded_weights_without_a_quant_section() {
         let s = sample();
         let mut model = CircuitGps::new(non_default_config());
         assert!(model.store_mut().quantize_int8() > 0);
@@ -704,29 +685,45 @@ mod tests {
         let mut bytes = Vec::new();
         model.save_checkpoint(&mut bytes).unwrap();
         let ck = CircuitGps::load_checkpoint_full(&bytes[..]).unwrap();
-        assert!(ck.section(QUANT_SECTION).is_some(), "quant section written");
-        assert!(ck.model.store().has_quant(), "snapshots reapplied on load");
+        assert!(ck.section(QUANT_SECTION).is_none(), "no quant section");
         assert_eq!(
             ck.model.predict_link(&s).to_bits(),
             want.to_bits(),
-            "quantized predictions must round-trip bitwise"
+            "rounded weights must round-trip bitwise"
         );
-
-        // Clearing the snapshots reverts to the pure-f32 path.
-        let mut f32_model = CircuitGps::load_checkpoint_full(&bytes[..]).unwrap().model;
-        f32_model.store_mut().clear_quant();
-        let f32_pred = f32_model.predict_link(&s);
-        assert!(f32_pred.is_finite());
     }
 
     #[test]
-    fn checkpoint_without_quant_section_loads_pure_f32() {
+    fn quant_section_loads_as_dequantized_weights() {
+        // An older `--quantize` export: unrounded f32 blob plus the int8
+        // codes of every quantizable weight in a `quant` section.
+        let s = sample();
         let model = CircuitGps::new(non_default_config());
+        let codes: Vec<(String, cirgps_nn::QuantMatrix)> = model
+            .store()
+            .iter()
+            .filter(|(id, _, _)| model.store().is_quantizable(*id))
+            .map(|(_, name, w)| (name.to_string(), cirgps_nn::QuantMatrix::quantize(w)))
+            .collect();
+        let entries: Vec<(&str, &cirgps_nn::QuantMatrix)> =
+            codes.iter().map(|(n, q)| (n.as_str(), q)).collect();
+        let mut payload = Vec::new();
+        cirgps_nn::quant::write_quant_blob(&mut payload, &entries).unwrap();
         let mut bytes = Vec::new();
-        model.save_checkpoint(&mut bytes).unwrap();
-        let ck = CircuitGps::load_checkpoint_full(&bytes[..]).unwrap();
-        assert!(ck.section(QUANT_SECTION).is_none());
-        assert!(!ck.model.store().has_quant());
+        model
+            .save_checkpoint_with_sections(&mut bytes, &[(QUANT_SECTION, &payload)])
+            .unwrap();
+
+        let mut rounded = CircuitGps::new(non_default_config());
+        assert_eq!(rounded.store_mut().quantize_int8(), codes.len());
+        let loaded = CircuitGps::load_checkpoint_full(&bytes[..]).unwrap().model;
+        for ((_, name, got), (_, _, want)) in loaded.store().iter().zip(rounded.store().iter()) {
+            assert_eq!(got, want, "{name}");
+        }
+        assert_eq!(
+            loaded.predict_link(&s).to_bits(),
+            rounded.predict_link(&s).to_bits()
+        );
     }
 
     #[test]

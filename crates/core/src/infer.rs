@@ -833,6 +833,35 @@ mod tests {
     }
 
     #[test]
+    fn quantized_taped_predictions_match_tape_free_bitwise() {
+        // `--quantize` rounds the weights in place, so training's taped
+        // forward and tape-free inference read the very same values.
+        let samples = toy_samples(9);
+        let refs: Vec<&PreparedSample> = samples.iter().collect();
+        for attn in attn_kinds() {
+            let mut model = model_with(attn);
+            assert!(model.store_mut().quantize_int8() > 0);
+            let links = model.predict_link_batch(&refs);
+            let regs = crate::train::predict_regression(&model, &samples);
+            for (i, s) in samples.iter().enumerate() {
+                let (taped_link, taped_reg) = (model.predict_link(s), model.predict_reg(s));
+                assert_eq!(
+                    taped_link.to_bits(),
+                    links[i].to_bits(),
+                    "{attn:?} link sample {i}: taped {taped_link} vs tape-free {}",
+                    links[i]
+                );
+                assert_eq!(
+                    taped_reg.to_bits(),
+                    regs[i].to_bits(),
+                    "{attn:?} reg sample {i}: taped {taped_reg} vs tape-free {}",
+                    regs[i]
+                );
+            }
+        }
+    }
+
+    #[test]
     fn batched_predictions_match_without_mpnn() {
         let samples = toy_samples(5);
         let model = CircuitGps::new(ModelConfig {

@@ -16,7 +16,7 @@
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use cirgps_nn::{Adam, CosineSchedule, GradStore, Tape};
+use cirgps_nn::{Adam, BufferUpdate, CosineSchedule, GradStore, Tape};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -478,13 +478,13 @@ pub fn train_resumable(
             // batch-level threading only.
             let n_sub = rayon::current_num_threads().clamp(1, batch.len().div_ceil(2).max(1));
             let sub_size = batch.len().div_ceil(n_sub);
-            let results: Vec<(f64, usize, GradStore)> = batch
+            let results: Vec<(f64, usize, GradStore, Vec<BufferUpdate>)> = batch
                 .par_chunks(sub_size)
                 .enumerate()
                 .map(|(ci, chunk)| {
                     let subs: Vec<&PreparedSample> = chunk.iter().map(|&i| &samples[i]).collect();
                     let mut grads = GradStore::new(store);
-                    let loss_val = {
+                    let (loss_val, bn_updates) = {
                         // Inner scope: dropping the tape returns its pooled
                         // buffers before the next sub-batch records.
                         let mut tape = Tape::new(
@@ -497,20 +497,30 @@ pub fn train_resumable(
                             Task::Regression => model.loss_reg_batch(&mut tape, &subs),
                         };
                         tape.backward(loss, &mut grads);
-                        tape.value(loss).item()
+                        (tape.value(loss).item(), tape.take_buffer_updates())
                     };
                     // Gradients of a per-sub-batch *mean* loss: reweight by
                     // sub-batch size so merging yields the full-batch mean.
                     grads.scale(subs.len() as f32);
-                    (loss_val as f64 * subs.len() as f64, subs.len(), grads)
+                    (
+                        loss_val as f64 * subs.len() as f64,
+                        subs.len(),
+                        grads,
+                        bn_updates,
+                    )
                 })
                 .collect();
 
             let mut merged = GradStore::new(model.store());
             let mut batch_loss = 0.0f64;
-            for (loss, _, g) in results {
+            for (loss, _, g, bn_updates) in results {
                 batch_loss += loss;
                 merged.merge(g);
+                // Running statistics advance in sub-batch order, not in
+                // the order the worker threads finished.
+                for update in bn_updates {
+                    update.apply(model.store());
+                }
             }
             merged.scale(1.0 / batch.len() as f32);
             merged.clip_global_norm(cfg.clip);

@@ -49,9 +49,9 @@ impl MultiHeadAttention {
             heads,
             head_dim: dim / heads,
         };
-        // The inference path packs Q/K/V into one GEMM straight from the
-        // raw f32 weights, so quantizing them would be silently ignored;
-        // only the output projection stays quantizable.
+        // `--quantize` leaves Q/K/V unrounded and rounds only the output
+        // projection: the set of rounded weights is fixed by the `quant`
+        // sections older checkpoints carry, which never name Q/K/V.
         for w in [&attn.wq, &attn.wk, &attn.wv] {
             store.set_quantizable(w.weight_id(), false);
         }
@@ -172,8 +172,7 @@ impl PerformerAttention {
             head_dim,
             features,
         };
-        // Same as MultiHeadAttention: Q/K/V are packed from raw f32 at
-        // inference time, so they must not carry int8 snapshots.
+        // Same as MultiHeadAttention: Q/K/V are never rounded.
         for w in [&attn.wq, &attn.wk, &attn.wv] {
             store.set_quantizable(w.weight_id(), false);
         }
@@ -479,7 +478,7 @@ mod tests {
         let mut tape = Tape::new(&store, true, 0);
         let x = tape.input(random_input(5, 8, 2));
         let y = attn.forward(&mut tape, x);
-        let loss = tape.mse_loss(y, &vec![0.1; 40]);
+        let loss = tape.mse_loss(y, &[0.1; 40]);
         let mut grads = GradStore::new(&store);
         tape.backward(loss, &mut grads);
         let touched = store
@@ -498,7 +497,7 @@ mod tests {
         let x = tape.input(random_input(6, 8, 3));
         let y = attn.forward(&mut tape, x);
         assert_eq!(tape.shape(y), (6, 8));
-        let loss = tape.mse_loss(y, &vec![0.0; 48]);
+        let loss = tape.mse_loss(y, &[0.0; 48]);
         let mut grads = GradStore::new(&store);
         tape.backward(loss, &mut grads);
         // The frozen projection must NOT receive a gradient.

@@ -320,7 +320,7 @@ mod tests {
         let x = tape.input(Tensor::from_vec(4, 4, xv));
         let e = tape.input(Tensor::from_vec(idx.len(), 4, ev));
         let (x2, _e2) = layer.forward(&mut tape, x, e, &idx);
-        let loss = tape.mse_loss(x2, &vec![0.0; 16]);
+        let loss = tape.mse_loss(x2, &[0.0; 16]);
         let mut grads = GradStore::new(&store);
         tape.backward(loss, &mut grads);
         for tag in ["g.A", "g.B", "g.C", "g.D", "g.E"] {

@@ -93,10 +93,8 @@ impl Linear {
             xavier_uniform(in_dim, out_dim, rng),
             true,
         );
-        // Linear weights route through the dequantizing GEMM when an
-        // int8 snapshot exists; layers whose inference path reads the
-        // raw f32 weight instead (the packed QKV projections) unmark
-        // theirs at construction.
+        // `--quantize` rounds Linear weights to their int8 grid; the
+        // attention QKV projections unmark theirs at construction.
         store.set_quantizable(w, true);
         let b =
             bias.then(|| store.register(&format!("{name}.bias"), Tensor::zeros(1, out_dim), true));
@@ -140,29 +138,14 @@ impl Linear {
     }
 
     /// Tape-free forward (eval mode): same fused kernel as
-    /// [`Linear::forward`], reading weights straight from `params`. If
-    /// the store holds an int8 snapshot of this weight, the GEMM runs
-    /// through the dequantizing kernels instead.
+    /// [`Linear::forward`], reading weights straight from `params`.
     pub fn infer(&self, params: &ParamStore, x: &Tensor) -> Tensor {
-        match params.quant_of(self.w) {
-            Some(q) => crate::infer::linear_fwd_quant(x, q, self.b.map(|b| params.get(b)), false),
-            None => crate::infer::linear_fwd(
-                x,
-                params.get(self.w),
-                self.b.map(|b| params.get(b)),
-                false,
-            ),
-        }
+        crate::infer::linear_fwd(x, params.get(self.w), self.b.map(|b| params.get(b)), false)
     }
 
     /// Tape-free `relu(xW + b)` (eval mode).
     pub fn infer_relu(&self, params: &ParamStore, x: &Tensor) -> Tensor {
-        match params.quant_of(self.w) {
-            Some(q) => crate::infer::linear_fwd_quant(x, q, self.b.map(|b| params.get(b)), true),
-            None => {
-                crate::infer::linear_fwd(x, params.get(self.w), self.b.map(|b| params.get(b)), true)
-            }
-        }
+        crate::infer::linear_fwd(x, params.get(self.w), self.b.map(|b| params.get(b)), true)
     }
 
     /// Tape-free `(xW + b) + dx[dst] + ex[src]` with the gathered adds
@@ -176,12 +159,6 @@ impl Linear {
         ex: &Tensor,
         src: &[usize],
     ) -> Tensor {
-        if let Some(q) = params.quant_of(self.w) {
-            // Quantized route: dequantizing GEMM, gathered adds as a
-            // second sweep (bitwise-equal to the fused epilogue).
-            let ce = crate::infer::linear_fwd_quant(x, q, self.b.map(|b| params.get(b)), false);
-            return crate::infer::add_gathered2_inplace(ce, dx, dst, ex, src);
-        }
         crate::infer::linear_add_gathered2(
             x,
             params.get(self.w),
@@ -307,17 +284,8 @@ impl BatchNorm1d {
         let beta = tape.param(self.beta);
         if tape.is_training() {
             let (y, mean, var) = tape.batch_norm(x, gamma, beta, self.eps, None);
-            let m = self.momentum;
-            tape.params().update_buffer(self.running_mean, |rm| {
-                for (r, &b) in rm.as_mut_slice().iter_mut().zip(mean.as_slice()) {
-                    *r = (1.0 - m) * *r + m * b;
-                }
-            });
-            tape.params().update_buffer(self.running_var, |rv| {
-                for (r, &b) in rv.as_mut_slice().iter_mut().zip(var.as_slice()) {
-                    *r = (1.0 - m) * *r + m * b;
-                }
-            });
+            tape.update_buffer_ema(self.running_mean, self.momentum, mean);
+            tape.update_buffer_ema(self.running_var, self.momentum, var);
             y
         } else {
             let mean = tape.params().buffer(self.running_mean);

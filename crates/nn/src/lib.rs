@@ -65,5 +65,5 @@ pub use params::{
 pub use pool::PoolStats;
 pub use quant::QuantMatrix;
 pub use simd::Backend;
-pub use tape::{Tape, Var};
+pub use tape::{BufferUpdate, Tape, Var};
 pub use tensor::Tensor;

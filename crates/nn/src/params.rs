@@ -146,12 +146,9 @@ pub struct ParamStore {
     trainable: Vec<bool>,
     buffers: Vec<Mutex<Tensor>>,
     buffer_names: Vec<String>,
-    /// Whether each parameter is a weight matrix the int8 path may
-    /// quantize (set by the layer that registered it).
+    /// Whether each parameter is a weight matrix `--quantize` may round
+    /// to its int8 grid (set by the layer that registered it).
     quantizable: Vec<bool>,
-    /// Per-parameter int8 snapshot, populated by
-    /// [`ParamStore::quantize_int8`] or a checkpoint's `quant` section.
-    quant: Vec<Option<QuantMatrix>>,
 }
 
 impl ParamStore {
@@ -170,7 +167,6 @@ impl ParamStore {
         self.names.push(name.to_string());
         self.trainable.push(trainable);
         self.quantizable.push(false);
-        self.quant.push(None);
         ParamId(self.params.len() - 1)
     }
 
@@ -187,12 +183,7 @@ impl ParamStore {
     }
 
     /// Mutably borrows a parameter tensor (used by optimizers).
-    ///
-    /// Invalidates any int8 snapshot of the parameter: the quantized
-    /// codes would otherwise go stale the moment an optimizer step
-    /// mutates the f32 values.
     pub fn get_mut(&mut self, id: ParamId) -> &mut Tensor {
-        self.quant[id.0] = None;
         &mut self.params[id.0]
     }
 
@@ -228,16 +219,11 @@ impl ParamStore {
 
     /// Marks a parameter as eligible for int8 weight quantization.
     ///
-    /// Layers call this for weight matrices whose inference path goes
-    /// through a dequantizing GEMM (currently [`crate::Linear`] weights,
-    /// except the attention QKV projections, which are re-packed from
-    /// raw f32 at inference time). Biases, embeddings and batch-norm
-    /// parameters stay f32.
+    /// Layers call this for [`crate::Linear`] weights, except the
+    /// attention Q/K/V projections, which are never rounded. Biases,
+    /// embeddings and batch-norm parameters stay f32.
     pub fn set_quantizable(&mut self, id: ParamId, quantizable: bool) {
         self.quantizable[id.0] = quantizable;
-        if !quantizable {
-            self.quant[id.0] = None;
-        }
     }
 
     /// Whether a parameter is eligible for int8 quantization.
@@ -245,60 +231,28 @@ impl ParamStore {
         self.quantizable[id.0]
     }
 
-    /// Quantizes every quantizable parameter to int8, returning how many
-    /// tensors were snapshotted. Inference then routes those weights
-    /// through the dequantizing GEMM kernels (see [`crate::QuantMatrix`]).
+    /// Rounds every quantizable parameter in place to its int8 grid,
+    /// `w ← QuantMatrix::quantize(w).dequantize()`, returning how many
+    /// tensors were rounded. The model stays an f32 model: every forward
+    /// pass, taped or tape-free, then reads the same rounded weights.
     pub fn quantize_int8(&mut self) -> usize {
         let mut n = 0;
         for i in 0..self.params.len() {
             if self.quantizable[i] {
-                self.quant[i] = Some(QuantMatrix::quantize(&self.params[i]));
+                self.params[i] = QuantMatrix::quantize(&self.params[i]).dequantize();
                 n += 1;
             }
         }
         n
     }
 
-    /// Drops every int8 snapshot, reverting inference to pure f32.
-    pub fn clear_quant(&mut self) {
-        for q in &mut self.quant {
-            *q = None;
-        }
-    }
-
-    /// The int8 snapshot of a parameter, if one exists.
-    pub fn quant_of(&self, id: ParamId) -> Option<&QuantMatrix> {
-        self.quant[id.0].as_ref()
-    }
-
-    /// Whether any parameter currently has an int8 snapshot.
-    pub fn has_quant(&self) -> bool {
-        self.quant.iter().any(Option::is_some)
-    }
-
-    /// Serializes the int8 snapshots as a `quant` section payload
-    /// (sorted by parameter index, i.e. registration order).
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O error from the writer.
-    pub fn save_quant_blob<W: Write>(&self, w: W) -> io::Result<()> {
-        let entries: Vec<(&str, &QuantMatrix)> = self
-            .quant
-            .iter()
-            .enumerate()
-            .filter_map(|(i, q)| q.as_ref().map(|q| (self.names[i].as_str(), q)))
-            .collect();
-        crate::quant::write_quant_blob(w, &entries)
-    }
-
-    /// Loads int8 snapshots from a `quant` section payload (the
-    /// counterpart of [`ParamStore::save_quant_blob`]).
+    /// Loads a `quant` section payload (see
+    /// [`crate::quant::write_quant_blob`]), overwriting each named weight
+    /// with its dequantized codes. Returns how many weights were set.
     ///
     /// Every entry must name a known parameter, match its shape, and be
-    /// marked quantizable in this store — a checkpoint quantizing a
-    /// weight this model re-packs from f32 would silently lose the
-    /// quantization, so it is rejected instead.
+    /// marked quantizable in this store — an entry for any other weight
+    /// was never served quantized, so it is rejected instead.
     ///
     /// # Errors
     ///
@@ -329,7 +283,7 @@ impl ParamStore {
                     "quant section quantizes {name:?}, which this model cannot serve quantized"
                 ));
             }
-            self.quant[idx] = Some(q);
+            self.params[idx] = q.dequantize();
             loaded += 1;
         }
         Ok(loaded)
@@ -764,36 +718,31 @@ mod tests {
     }
 
     #[test]
-    fn quantize_marks_and_optimizer_writes_invalidate() {
+    fn quantize_rounds_quantizable_weights_in_place() {
         let mut rng = StdRng::seed_from_u64(11);
         let mut s = ParamStore::new();
         let w = s.register("w", xavier_uniform(4, 8, &mut rng), true);
         let b = s.register("b", xavier_uniform(1, 8, &mut rng), true);
         s.set_quantizable(w, true);
+        let (w0, b0) = (s.get(w).clone(), s.get(b).clone());
         assert_eq!(s.quantize_int8(), 1);
-        assert!(s.quant_of(w).is_some());
-        assert!(s.quant_of(b).is_none());
-        // Mutating a parameter (the optimizer path) drops its snapshot.
-        s.get_mut(w).as_mut_slice()[0] += 1.0;
-        assert!(s.quant_of(w).is_none());
-        assert!(!s.has_quant());
+        assert_eq!(s.get(w), &QuantMatrix::quantize(&w0).dequantize());
+        assert_ne!(s.get(w), &w0, "rounding must change some weight");
+        assert_eq!(s.get(b), &b0, "non-quantizable parameters stay f32");
     }
 
     #[test]
-    fn quant_blob_round_trips_and_validates() {
+    fn quant_blob_loads_dequantized_weights_and_validates() {
         let mut rng = StdRng::seed_from_u64(12);
-        let mut s = ParamStore::new();
-        let w = s.register("w", xavier_uniform(4, 8, &mut rng), true);
-        s.set_quantizable(w, true);
-        s.quantize_int8();
+        let q = QuantMatrix::quantize(&xavier_uniform(4, 8, &mut rng));
         let mut bytes = Vec::new();
-        s.save_quant_blob(&mut bytes).unwrap();
+        crate::quant::write_quant_blob(&mut bytes, &[("w", &q)]).unwrap();
 
         let mut s2 = ParamStore::new();
         let w2 = s2.register("w", Tensor::zeros(4, 8), true);
         s2.set_quantizable(w2, true);
         assert_eq!(s2.load_quant_blob(&bytes[..]).unwrap(), 1);
-        assert_eq!(s2.quant_of(w2), s.quant_of(w));
+        assert_eq!(s2.get(w2), &q.dequantize());
 
         // Unknown name, wrong shape and non-quantizable targets are all
         // named errors rather than silent drops.

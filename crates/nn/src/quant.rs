@@ -1,32 +1,28 @@
-//! Int8 weight-only quantized inference.
+//! Int8 weight-only quantization.
 //!
-//! Quantization is **per-tensor symmetric**: a weight matrix `W` is
-//! stored as `i8` codes `q = clamp(round(W / s), -127, 127)` with one
-//! `f32` scale `s = max|W| / 127`. At inference time the dequantizing
-//! GEMM kernels reconstruct each weight as `(q as f32) · s` on the fly —
-//! two exact operations (small-integer conversion and a single multiply
-//! both round exactly at these magnitudes' precision needs... see below)
-//! — so the only divergence versus the f32 path is the **rounding of the
-//! weights themselves** (≤ s/2 ≈ max|W|/254 per weight). Activations,
-//! biases, batch-norm statistics, embeddings and the attention QKV
-//! projections stay f32.
+//! Quantization is **per-tensor symmetric**: a weight matrix `W` maps to
+//! `i8` codes `q = clamp(round(W / s), -127, 127)` with one `f32` scale
+//! `s = max|W| / 127`, and reconstructs as `(q as f32) · s` — an exact
+//! conversion followed by one correctly-rounded multiply, so every
+//! machine dequantizes to the same f32 values.
 //!
-//! Precisely: `(q as f32)` is exact for |q| ≤ 127, and `q · s` is one
-//! correctly-rounded f32 multiply, so every backend dequantizes to the
-//! *same* f32 value — the scalar and SIMD quant kernels then share the
-//! f32 kernels' accumulation-order contract and are bitwise-equal to
-//! each other (enforced by the parity test matrix). End-to-end
-//! int8-vs-f32 divergence bounds over grammar-corpus designs are
-//! asserted in `crates/model` tests and documented in
-//! `docs/simd-quant.md`.
+//! There is no separate int8 inference path: `--quantize` (see
+//! [`crate::ParamStore::quantize_int8`]) rounds each quantizable weight
+//! in place to its dequantized grid value before the checkpoint is
+//! written, and every forward pass — taped or tape-free — then runs the
+//! ordinary f32 kernels over those rounded weights. The only divergence
+//! from the unrounded model is the weight rounding itself (≤ s/2 ≈
+//! max|W|/254 per weight); activations, biases, batch-norm statistics,
+//! embeddings and the attention QKV projections are never rounded.
 //!
-//! Quantized scales/codes travel in the optional `quant` section of the
-//! CGPC checkpoint container (see `docs/checkpoint-format.md`); старые
-//! checkpoints without the section simply serve f32.
+//! The serialized form below is the payload of the CGPC checkpoint's
+//! `quant` section (see `docs/checkpoint-format.md`). New checkpoints no
+//! longer carry it, but the loader still accepts older files that do and
+//! writes the dequantized codes into the named weights;
+//! [`write_quant_blob`] stays as the executable spec of that payload.
 
 use std::io::{self, Read, Write};
 
-use crate::simd::Backend;
 use crate::tensor::Tensor;
 
 /// A per-tensor symmetrically quantized weight matrix: `i8` codes plus
@@ -105,7 +101,7 @@ impl QuantMatrix {
     }
 
     /// Materializes the dequantized f32 matrix (`q · s` per element) —
-    /// exactly the values the dequantizing GEMM kernels see.
+    /// exactly the values a quantized weight is rounded to.
     pub fn dequantize(&self) -> Tensor {
         let s = self.scale;
         Tensor::from_vec(
@@ -210,106 +206,6 @@ pub fn read_quant_blob<R: Read>(mut r: R) -> Result<Vec<(String, QuantMatrix)>, 
     }
 }
 
-/// Dequantizing `out += a · (q · s)` for row-major `a (m×k)` against a
-/// quantized `k×n` weight, dispatched like the f32 GEMM. The per-element
-/// accumulation is one fused multiply-add per k step (`acc = fma(a_p,
-/// q_pj·s, acc)`), identical on every backend.
-pub(crate) fn gemm_quant(a: &[f32], q: &QuantMatrix, out: &mut [f32], m: usize) {
-    gemm_quant_with(Backend::active(), a, q, out, m)
-}
-
-/// [`gemm_quant`] on an explicit backend.
-pub(crate) fn gemm_quant_with(
-    backend: Backend,
-    a: &[f32],
-    q: &QuantMatrix,
-    out: &mut [f32],
-    m: usize,
-) {
-    let (k, n) = (q.rows, q.cols);
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(out.len(), m * n);
-    if out.is_empty() {
-        return;
-    }
-    if crate::tensor::use_parallel(m, k, n) {
-        let threads = crate::tensor::hardware_threads().min(m).max(1);
-        let rows_per = m.div_ceil(threads.max(1));
-        std::thread::scope(|s| {
-            for (ti, ochunk) in out.chunks_mut(rows_per * n).enumerate() {
-                let i0 = ti * rows_per;
-                let rows = ochunk.len() / n;
-                let aband = &a[i0 * k..(i0 + rows) * k];
-                s.spawn(move || gemm_quant_serial(backend, aband, q, ochunk, rows));
-            }
-        });
-    } else {
-        gemm_quant_serial(backend, a, q, out, m);
-    }
-}
-
-#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
-fn gemm_quant_serial(backend: Backend, a: &[f32], q: &QuantMatrix, out: &mut [f32], m: usize) {
-    let (k, n) = (q.rows, q.cols);
-    #[cfg(target_arch = "x86_64")]
-    if backend != Backend::Scalar {
-        // SAFETY: a non-scalar backend is only selected after its CPU
-        // feature probe succeeded (`Backend::available`).
-        unsafe {
-            match (backend, n) {
-                (Backend::Avx512, 16) => {
-                    return crate::simd::avx512::gemm_quant_fixed::<16>(
-                        a, &q.data, q.scale, out, m, k,
-                    )
-                }
-                (Backend::Avx512, 32) => {
-                    return crate::simd::avx512::gemm_quant_fixed::<32>(
-                        a, &q.data, q.scale, out, m, k,
-                    )
-                }
-                (Backend::Avx512, 64) => {
-                    return crate::simd::avx512::gemm_quant_fixed::<64>(
-                        a, &q.data, q.scale, out, m, k,
-                    )
-                }
-                (_, 8) => {
-                    return crate::simd::avx2::gemm_quant_fixed::<8>(a, &q.data, q.scale, out, m, k)
-                }
-                (_, 16) => {
-                    return crate::simd::avx2::gemm_quant_fixed::<16>(
-                        a, &q.data, q.scale, out, m, k,
-                    )
-                }
-                (_, 32) => {
-                    return crate::simd::avx2::gemm_quant_fixed::<32>(
-                        a, &q.data, q.scale, out, m, k,
-                    )
-                }
-                (_, 64) => {
-                    return crate::simd::avx2::gemm_quant_fixed::<64>(
-                        a, &q.data, q.scale, out, m, k,
-                    )
-                }
-                _ => {}
-            }
-        }
-    }
-    // Scalar reference (and the fallback for widths without a fixed-N
-    // microkernel, on every backend): a single-step k chain per output
-    // element — the same chain the SIMD kernels run per lane.
-    let scale = q.scale;
-    for i in 0..m {
-        let arow = &a[i * k..(i + 1) * k];
-        let orow = &mut out[i * n..(i + 1) * n];
-        for (p, &av) in arow.iter().enumerate() {
-            let qrow = &q.data[p * n..(p + 1) * n];
-            for (o, &qv) in orow.iter_mut().zip(qrow) {
-                *o = av.mul_add((qv as f32) * scale, *o);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -380,28 +276,5 @@ mod tests {
         let mut bytes = Vec::new();
         bytes.extend_from_slice(&u64::MAX.to_le_bytes());
         assert!(read_quant_blob(&bytes[..]).unwrap_err().contains("entries"));
-    }
-
-    #[test]
-    fn quant_gemm_matches_dequantized_f32_gemm() {
-        // The dequantizing kernel must equal "materialize q·s, then run
-        // the f32 GEMM with a single-step chain" — here checked against
-        // a naive accumulation in the same order.
-        let (m, k, n) = (5, 23, 8);
-        let a = ramp(m, k);
-        let q = QuantMatrix::quantize(&ramp(k, n));
-        let mut out = vec![0.0f32; m * n];
-        gemm_quant_with(Backend::Scalar, a.as_slice(), &q, &mut out, m);
-        let d = q.dequantize();
-        let mut want = vec![0.0f32; m * n];
-        for i in 0..m {
-            for p in 0..k {
-                let av = a.as_slice()[i * k + p];
-                for j in 0..n {
-                    want[i * n + j] = av.mul_add(d.as_slice()[p * n + j], want[i * n + j]);
-                }
-            }
-        }
-        assert_eq!(out, want);
     }
 }

@@ -37,7 +37,7 @@ use crate::infer::{
     mha_block_diag_fwd, performer_block_diag_fwd, qkv_pack_weights, row_sum_fwd, scatter_add_rows,
     softmax_rows_fwd, stable_sigmoid,
 };
-use crate::params::{GradStore, ParamId, ParamStore};
+use crate::params::{BufferId, GradStore, ParamId, ParamStore};
 use crate::pool;
 use crate::tensor::{fast_exp, gemm_abt, gemm_atb, Tensor};
 
@@ -160,6 +160,27 @@ enum Op {
     },
 }
 
+/// A recorded moving-average update of a state buffer (batch-norm
+/// running statistics): `buf ← (1 − momentum)·buf + momentum·value`.
+#[derive(Debug)]
+pub struct BufferUpdate {
+    id: BufferId,
+    momentum: f32,
+    value: Tensor,
+}
+
+impl BufferUpdate {
+    /// Applies the update to `store`'s buffer.
+    pub fn apply(self, store: &ParamStore) {
+        let m = self.momentum;
+        store.update_buffer(self.id, |buf| {
+            for (r, &b) in buf.as_mut_slice().iter_mut().zip(self.value.as_slice()) {
+                *r = (1.0 - m) * *r + m * b;
+            }
+        });
+    }
+}
+
 /// Forward-pass recorder and reverse-mode differentiator.
 ///
 /// # Examples
@@ -192,6 +213,9 @@ pub struct Tape<'p> {
     shapes: Vec<(usize, usize)>,
     training: bool,
     rng: StdRng,
+    /// Buffer updates recorded by [`Tape::update_buffer_ema`], applied in
+    /// record order when the tape drops unless taken first.
+    buffer_updates: Vec<BufferUpdate>,
 }
 
 impl<'p> Tape<'p> {
@@ -205,7 +229,27 @@ impl<'p> Tape<'p> {
             shapes: Vec::new(),
             training,
             rng: StdRng::seed_from_u64(seed),
+            buffer_updates: Vec::new(),
         }
+    }
+
+    /// Records `buf ← (1 − momentum)·buf + momentum·value` for buffer
+    /// `id`. The update reaches the store when the tape drops, or when
+    /// the caller applies what [`Tape::take_buffer_updates`] returns.
+    pub fn update_buffer_ema(&mut self, id: BufferId, momentum: f32, value: Tensor) {
+        self.buffer_updates.push(BufferUpdate {
+            id,
+            momentum,
+            value,
+        });
+    }
+
+    /// Takes the buffer updates recorded so far, in record order. Tapes
+    /// that run in parallel on one store use this to apply their updates
+    /// in a fixed order instead of the order the tapes finish in, which
+    /// would make the running statistics depend on thread timing.
+    pub fn take_buffer_updates(&mut self) -> Vec<BufferUpdate> {
+        std::mem::take(&mut self.buffer_updates)
     }
 
     /// Whether the tape is in training mode.
@@ -1580,6 +1624,9 @@ impl<'p> Tape<'p> {
 
 impl Drop for Tape<'_> {
     fn drop(&mut self) {
+        for update in std::mem::take(&mut self.buffer_updates) {
+            update.apply(self.params);
+        }
         self.recycle_storage();
     }
 }

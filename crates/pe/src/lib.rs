@@ -316,20 +316,25 @@ mod tests {
         };
         let mut seen: std::collections::HashMap<(u32, u32), usize> =
             std::collections::HashMap::new();
-        for i in sub.num_anchors..sub.num_nodes() {
-            let key = (sub.dist_a[i], sub.dist_b[i]);
+        let non_anchors = sub.num_anchors..sub.num_nodes();
+        let rows = sub.dist_a[non_anchors.clone()]
+            .iter()
+            .zip(&sub.dist_b[non_anchors.clone()])
+            .zip(&codes[non_anchors]);
+        for ((&da, &db), &code) in rows {
+            let key = (da, db);
             if key.0 >= UNREACHABLE || key.1 >= UNREACHABLE {
                 continue;
             }
             if let Some(&prev) = seen.get(&key) {
-                assert_eq!(prev, codes[i]);
+                assert_eq!(prev, code);
             } else {
                 for (&k2, &c2) in &seen {
                     if k2 != key {
-                        assert_ne!(c2, codes[i], "collision between {key:?} and {k2:?}");
+                        assert_ne!(c2, code, "collision between {key:?} and {k2:?}");
                     }
                 }
-                seen.insert(key, codes[i]);
+                seen.insert(key, code);
             }
         }
     }

@@ -229,8 +229,33 @@ fn status_reason(status: u16) -> &'static str {
     }
 }
 
-/// Writes one fixed-length response. `extra_headers` go out verbatim
-/// after the standard ones (e.g. `("retry-after", "3")` on `503`).
+/// Serializes one fixed-length response, head and body, into a single
+/// buffer. `extra_headers` go out verbatim after the standard ones (e.g.
+/// `("retry-after", "3")` on `503`).
+pub(crate) fn response_bytes(
+    status: u16,
+    content_type: &str,
+    extra_headers: &[(&str, &str)],
+    body: &[u8],
+) -> Vec<u8> {
+    let mut wire = format!(
+        "HTTP/1.1 {status} {}\r\ncontent-type: {content_type}\r\ncontent-length: {}\r\n",
+        status_reason(status),
+        body.len()
+    );
+    for (name, value) in extra_headers {
+        wire.push_str(&format!("{name}: {value}\r\n"));
+    }
+    wire.push_str("\r\n");
+    let mut wire = wire.into_bytes();
+    wire.extend_from_slice(body);
+    wire
+}
+
+/// Writes one fixed-length response (see [`response_bytes`]) with a
+/// single `write_all`. Separate small writes for the head and the body
+/// would let Nagle's algorithm hold the body back until the client's
+/// delayed ACK, adding tens of milliseconds to every keep-alive reply.
 ///
 /// # Errors
 ///
@@ -242,17 +267,7 @@ pub fn write_response(
     extra_headers: &[(&str, &str)],
     body: &[u8],
 ) -> io::Result<()> {
-    write!(
-        stream,
-        "HTTP/1.1 {status} {}\r\ncontent-type: {content_type}\r\ncontent-length: {}\r\n",
-        status_reason(status),
-        body.len()
-    )?;
-    for (name, value) in extra_headers {
-        write!(stream, "{name}: {value}\r\n")?;
-    }
-    stream.write_all(b"\r\n")?;
-    stream.write_all(body)?;
+    stream.write_all(&response_bytes(status, content_type, extra_headers, body))?;
     stream.flush()
 }
 
@@ -514,6 +529,43 @@ mod tests {
         assert_eq!(second.path, "/healthz");
         assert!(second.body.is_empty());
         assert!(read_request(&mut r).unwrap().is_none(), "clean EOF");
+    }
+
+    #[test]
+    fn write_response_issues_exactly_one_write() {
+        /// Counts `write` calls; each accepts the whole buffer.
+        #[derive(Default)]
+        struct CountingWriter {
+            writes: usize,
+            bytes: Vec<u8>,
+        }
+        impl Write for CountingWriter {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.writes += 1;
+                self.bytes.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let check = |extra: &[(&str, &str)], body: &[u8], want: &str| {
+            let mut w = CountingWriter::default();
+            write_response(&mut w, 200, "text/plain", extra, body).unwrap();
+            assert_eq!(w.writes, 1, "one write per response");
+            assert_eq!(String::from_utf8(w.bytes).unwrap(), want);
+        };
+        check(
+            &[],
+            b"",
+            "HTTP/1.1 200 OK\r\ncontent-type: text/plain\r\ncontent-length: 0\r\n\r\n",
+        );
+        check(
+            &[("retry-after", "3")],
+            b"{}",
+            "HTTP/1.1 200 OK\r\ncontent-type: text/plain\r\ncontent-length: 2\r\n\
+             retry-after: 3\r\n\r\n{}",
+        );
     }
 
     #[test]

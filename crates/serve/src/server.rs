@@ -25,8 +25,8 @@ use subgraph_sample::{SamplerConfig, XcNormalizer};
 
 use crate::engine::{Engine, SubmitError, TaskKind};
 use crate::http::{
-    finish_chunked, read_request_limited, write_chunk, write_chunked_head, write_response,
-    IngressLimits, Request, RequestError,
+    finish_chunked, read_request_limited, response_bytes, write_chunk, write_chunked_head,
+    write_response, IngressLimits, Request, RequestError,
 };
 use crate::json::{escape, Json};
 use crate::metrics::Metrics;
@@ -214,6 +214,44 @@ pub struct Server {
     started: Instant,
 }
 
+/// Most request bytes [`shed_connection`] reads (and discards) from a
+/// shed client before closing.
+const SHED_DRAIN_BYTES: usize = 64 * 1024;
+/// Longest [`shed_connection`] keeps the accept thread waiting for a
+/// shed client's request bytes.
+const SHED_DRAIN_TIME: Duration = Duration::from_millis(100);
+
+/// Answers a connection over the cap with `503` + `Retry-After` and
+/// closes it. Closing a socket whose request bytes were never read makes
+/// the kernel send an RST, which can destroy the 503 before the client
+/// reads it; so the write side is half-closed first and the request is
+/// drained, bounded in bytes and time, before the socket drops.
+fn shed_connection(mut stream: TcpStream, retry_after: &str) {
+    let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
+    let _ = write_response(
+        &mut stream,
+        503,
+        "application/json",
+        &[("retry-after", retry_after), ("connection", "close")],
+        b"{\"error\":\"too many connections, retry later\"}",
+    );
+    let _ = stream.shutdown(Shutdown::Write);
+    let deadline = Instant::now() + SHED_DRAIN_TIME;
+    let mut buf = [0u8; 4096];
+    let mut left = SHED_DRAIN_BYTES;
+    while left > 0 {
+        let remaining = deadline.saturating_duration_since(Instant::now());
+        if remaining.is_zero() || stream.set_read_timeout(Some(remaining)).is_err() {
+            break;
+        }
+        let want = left.min(buf.len());
+        match stream.read(&mut buf[..want]) {
+            Ok(0) | Err(_) => break,
+            Ok(n) => left -= n,
+        }
+    }
+}
+
 impl Server {
     /// Builds a server over `graph` (the design named `design`), fitting
     /// the XC normalizer on that graph — the same convention
@@ -298,16 +336,7 @@ impl Server {
                 // yet another thread for a load we cannot serve.
                 if self.conns().streams.len() >= self.cfg.max_connections {
                     Metrics::inc(&self.engine.metrics().rejected_max_conns);
-                    let retry_after = self.retry_after_secs().to_string();
-                    let mut stream = stream;
-                    let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
-                    let _ = write_response(
-                        &mut stream,
-                        503,
-                        "application/json",
-                        &[("retry-after", &retry_after), ("connection", "close")],
-                        b"{\"error\":\"too many connections, retry later\"}",
-                    );
+                    shed_connection(stream, &self.retry_after_secs().to_string());
                     continue;
                 }
                 s.spawn(move || self.handle_connection(stream));
@@ -408,8 +437,7 @@ impl Server {
     ) -> std::io::Result<()> {
         match cirgps_failpoints::eval("serve.ingress.write") {
             Some(FailAction::Truncate(n)) => {
-                let mut wire = Vec::new();
-                write_response(&mut wire, status, content_type, extra, body)?;
+                let mut wire = response_bytes(status, content_type, extra, body);
                 wire.truncate(n as usize);
                 writer.write_all(&wire)?;
                 let _ = writer.flush();
@@ -521,6 +549,13 @@ impl Server {
                     } else {
                         &[]
                     };
+                    if close {
+                        // Free the connection slot before the last reply
+                        // goes out: a client that reconnects as soon as it
+                        // has read this reply must not be shed by a slot
+                        // this thread is about to release.
+                        self.conns().streams.remove(&id);
+                    }
                     if self
                         .write_reply(&mut writer, status, content_type, extra, body.as_bytes())
                         .is_err()
@@ -598,7 +633,6 @@ impl Server {
                         self.engine.in_brownout(),
                         self.engine.recent_batch_us(),
                         circuitgps::Backend::active().name(),
-                        self.model.store().has_quant(),
                     ),
                 )
             }

@@ -62,6 +62,32 @@ fn small_model() -> CircuitGps {
     })
 }
 
+/// Stops a server when dropped: the scope a test serves in joins the
+/// `serve` thread, so without this a failed assertion would leave the
+/// daemon running and hang the test instead of failing it.
+struct ShutdownOnDrop<'a> {
+    server: &'a Server,
+    addr: SocketAddr,
+}
+
+impl Drop for ShutdownOnDrop<'_> {
+    fn drop(&mut self) {
+        self.server.shutdown(self.addr);
+    }
+}
+
+/// Runs `server` on `listener` in scope `s`; the daemon shuts down when
+/// the returned guard drops, on success and on panic alike.
+fn serve_scoped<'scope, 'env>(
+    s: &'scope std::thread::Scope<'scope, 'env>,
+    server: &'env Server,
+    listener: TcpListener,
+) -> ShutdownOnDrop<'env> {
+    let addr = listener.local_addr().expect("addr");
+    s.spawn(move || server.serve(listener));
+    ShutdownOnDrop { server, addr }
+}
+
 /// Minimal HTTP client: one request on its own connection, returns
 /// (status, body).
 fn http(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
@@ -244,7 +270,7 @@ fn concurrent_singletons_coalesce_and_match_direct_predictions() {
     let want_ground = session.predict_ground(&[pairs[0].0, pairs[1].0]);
 
     std::thread::scope(|s| {
-        s.spawn(|| server.serve(listener));
+        let _serving = serve_scoped(s, &server, listener);
 
         // Phase 1: one singleton request per client thread, all released
         // together — the dynamic batcher must coalesce them.
@@ -335,87 +361,14 @@ fn concurrent_singletons_coalesce_and_match_direct_predictions() {
         assert!(body.contains("cirgps_serve_batch_occupancy_sum"), "{body}");
         // The backend every bitwise comparison above ran under is pinned
         // and visible: /metrics must report exactly the active dispatch
-        // backend and the f32 weight precision of this deployment.
+        // backend of this deployment.
         assert!(
             body.contains(&format!(
-                "cirgps_serve_backend_info{{backend=\"{}\",precision=\"f32\"}} 1",
+                "cirgps_serve_backend_info{{backend=\"{}\"}} 1",
                 circuitgps::Backend::active().name()
             )),
             "{body}"
         );
-
-        server.shutdown(addr);
-    });
-}
-
-/// int8 serving holds the same parity bar as f32: responses are
-/// bitwise-equal to a direct session over the same quantized model, and
-/// the precision is reported on `/metrics`.
-#[test]
-fn quantized_model_serves_bitwise_and_reports_int8() {
-    let (graph, pairs) = toy_graph();
-    let mut model = small_model();
-    assert!(
-        model.store_mut().quantize_int8() > 0,
-        "quantization must cover at least one weight tensor"
-    );
-    let cfg = ServeConfig {
-        max_batch: 4,
-        max_wait: Duration::from_millis(50),
-        workers: 1,
-        queue_capacity: 64,
-        cache_capacity: 64,
-        sampler: SamplerConfig {
-            hops: 1,
-            max_nodes: 64,
-        },
-        read_timeout: Duration::from_secs(5),
-        drain_timeout: Duration::from_secs(2),
-        request_timeout: Duration::from_secs(10),
-        ..ServeConfig::default()
-    };
-    let server = Server::new(model, graph, "TOY".into(), cfg);
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().expect("addr");
-
-    let mut session = server.session();
-    let want = session.predict_links(&pairs);
-
-    std::thread::scope(|s| {
-        s.spawn(|| server.serve(listener));
-        let pair_list = pairs
-            .iter()
-            .map(|&(a, b)| format!("[{a},{b}]"))
-            .collect::<Vec<_>>()
-            .join(",");
-        let (status, body) = http(
-            addr,
-            "POST",
-            "/v1/predict",
-            &format!("{{\"task\":\"link\",\"pairs\":[{pair_list}]}}"),
-        );
-        assert_eq!(status, 200, "{body}");
-        let probs = parse_f32_array(&body, "probs");
-        assert_eq!(probs.len(), want.len());
-        for (i, (got, want)) in probs.iter().zip(&want).enumerate() {
-            assert_eq!(
-                got.to_bits(),
-                want.to_bits(),
-                "pair {i}: served {got} != direct {want}"
-            );
-        }
-
-        let (status, body) = http(addr, "GET", "/metrics", "");
-        assert_eq!(status, 200);
-        assert!(
-            body.contains(&format!(
-                "cirgps_serve_backend_info{{backend=\"{}\",precision=\"int8\"}} 1",
-                circuitgps::Backend::active().name()
-            )),
-            "{body}"
-        );
-
-        server.shutdown(addr);
     });
 }
 
@@ -448,7 +401,7 @@ fn graceful_drain_answers_in_flight_bitwise_and_refuses_new_connections() {
     let want = session.predict_links(&pairs[..3]);
 
     std::thread::scope(|s| {
-        s.spawn(|| server.serve(listener));
+        let _serving = serve_scoped(s, &server, listener);
 
         // A keep-alive connection opened before the drain, to observe
         // /healthz flip to "draining" from inside it.
@@ -542,7 +495,7 @@ fn sweep_endpoint_streams_chunked_jsonl_bitwise_equal_to_predict() {
     let want_caps = session.predict_couplings(&pairs);
 
     std::thread::scope(|s| {
-        s.spawn(|| server.serve(listener));
+        let _serving = serve_scoped(s, &server, listener);
 
         // Explicit pairs, link task, tiny chunk so the response spans
         // several windows.
@@ -655,8 +608,6 @@ fn sweep_endpoint_streams_chunked_jsonl_bitwise_equal_to_predict() {
             metrics.contains("cirgps_serve_sweep_forwards_total"),
             "{metrics}"
         );
-
-        server.shutdown(addr);
     });
 }
 
@@ -679,7 +630,7 @@ fn protocol_errors_are_reported_not_fatal() {
     let addr = listener.local_addr().expect("addr");
 
     std::thread::scope(|s| {
-        s.spawn(|| server.serve(listener));
+        let _serving = serve_scoped(s, &server, listener);
 
         for (body, expect) in [
             ("not json", "bad JSON"),
@@ -722,8 +673,6 @@ fn protocol_errors_are_reported_not_fatal() {
         );
         assert_eq!(status, 200, "{resp}");
         assert!(resp.contains("\"count\":1"), "{resp}");
-
-        server.shutdown(addr);
     });
 }
 
@@ -763,7 +712,7 @@ fn hostile_ingress_is_bounded_and_the_daemon_survives() {
     let addr = listener.local_addr().expect("addr");
 
     std::thread::scope(|s| {
-        s.spawn(|| server.serve(listener));
+        let _serving = serve_scoped(s, &server, listener);
 
         // Oversized body: the Content-Length alone earns a 413 — the
         // server must not wait for (or buffer) the advertised megabytes.
@@ -856,8 +805,6 @@ fn hostile_ingress_is_bounded_and_the_daemon_survives() {
         );
         assert_eq!(status, 200, "{resp}");
         assert!(resp.contains("\"count\":1"), "{resp}");
-
-        server.shutdown(addr);
     });
 }
 
@@ -883,7 +830,7 @@ fn connection_cap_sheds_with_load_aware_retry_after() {
     let addr = listener.local_addr().expect("addr");
 
     std::thread::scope(|s| {
-        s.spawn(|| server.serve(listener));
+        let _serving = serve_scoped(s, &server, listener);
 
         // Connection 1 takes the only slot and keeps it (keep-alive).
         let mut hog = TcpStream::connect(addr).expect("connect");
@@ -932,7 +879,5 @@ fn connection_cap_sheds_with_load_aware_retry_after() {
             std::thread::sleep(Duration::from_millis(20));
         }
         assert!(metric(addr, "rejected_max_conns_total") >= 1);
-
-        server.shutdown(addr);
     });
 }

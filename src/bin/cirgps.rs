@@ -152,10 +152,10 @@ USAGE:
                           writes a final snapshot (docs/robustness.md)
         --metrics-out F   write a JSON training log (per-epoch loss,
                           periodic + final eval metrics)
-        --quantize        snapshot weights as int8 (per-tensor symmetric
-                          scales) before saving; the checkpoint carries a
-                          `quant` section and predict/sweep/serve default
-                          to int8 inference (docs/simd-quant.md)
+        --quantize        round each weight matrix to its int8 grid
+                          (per-tensor symmetric scales) before saving;
+                          the checkpoint stays an f32 file that every
+                          command reads as usual (docs/simd-quant.md)
 
   cirgps finetune --model PRE.ckpt --netlist FILE.sp --top NAME
                 --spf FILE.spf --shots N [--unfreeze-all]
@@ -181,10 +181,12 @@ USAGE:
 
   cirgps predict --netlist FILE.sp --top NAME --spf FILE.spf
                 [--task link|cap] [--batch-size N] [--per-type N]
-                [--model FILE.ckpt] [--backend B] [--precision P]
-                [--out FILE.json]
+                [--model FILE.ckpt] [--out FILE.json]
       Score the design's candidate coupling pairs with the batched
-      tape-free inference engine (block-diagonal attention).
+      tape-free inference engine (block-diagonal attention). Like every
+      command, it picks the best SIMD backend at runtime;
+      CIRGPS_FORCE_BACKEND=scalar|avx2|avx512 pins one (the output is
+      bitwise-identical either way — docs/simd-quant.md).
         --task link|cap   link probability (default) or normalized +
                           decoded coupling capacitance per pair
         --batch-size N    samples per packed batch (default 32)
@@ -195,13 +197,6 @@ USAGE:
                           config). Without it a freshly initialized
                           default model is used (structure-only smoke
                           predictions)
-        --backend B       force the SIMD dispatch backend: scalar, avx2
-                          or avx512 (default: best available; errors if
-                          the CPU lacks it — docs/simd-quant.md)
-        --precision P     f32 or int8. Default follows the checkpoint:
-                          int8 when it carries a `quant` section, f32
-                          otherwise. int8 quantizes in-process when the
-                          checkpoint shipped no codes
         --out FILE.json   write JSON lines there instead of stdout
       Output: one JSON object per candidate pair.
 
@@ -209,7 +204,6 @@ USAGE:
                 [--task link|cap] [--pairs FILE] [--per-node-cap N]
                 [--max-pairs N] [--chunk N] [--threads N]
                 [--format jsonl|csv] [--out FILE] [--no-dedup]
-                [--backend B] [--precision P]
       Plan and execute a full-chip sweep: score *every* candidate pair
       of the design (or an explicit pair list) as one batched job with
       shared subgraph extraction and neighborhood deduplication,
@@ -235,16 +229,12 @@ USAGE:
         --out FILE        write results there instead of stdout
         --no-dedup        disable neighborhood deduplication (for
                           measurement; results are identical)
-        --backend/--precision
-                          SIMD backend + int8/f32 knobs, exactly as in
-                          `cirgps predict` (docs/simd-quant.md)
       Prints planner statistics (pairs, unique forwards, dedup rate,
       amortized µs/pair) to stderr.
 
   cirgps serve  --netlist FILE.sp --top NAME [--model FILE.ckpt]
                 [--addr HOST:PORT] [--max-batch N] [--max-wait-us N]
                 [--workers N] [--queue-cap N] [--cache-cap N]
-                [--backend B] [--precision P]
                 [--drain-timeout-ms N] [--request-timeout-ms N]
       Run the long-lived inference daemon: model, graph and sample
       caches stay warm, and concurrent HTTP queries are coalesced into
@@ -277,10 +267,6 @@ USAGE:
                        408 (default 10000)
         --max-conns    concurrent-connection cap; excess connections are
                        shed with 503 + Retry-After (default 256)
-        --backend/--precision
-                       SIMD backend + int8/f32 knobs, exactly as in
-                       `cirgps predict`; the selection is reported on
-                       /metrics (docs/simd-quant.md)
       Endpoints: GET /healthz, GET /metrics, POST /v1/predict,
       POST /v1/sweep (chunked JSONL bulk sweep).
 
@@ -537,57 +523,16 @@ fn build_link_samples(
     Ok((names, samples))
 }
 
-/// Applies `--backend scalar|avx2|avx512`: forces the SIMD dispatch
-/// backend process-wide before any kernel runs. Fails loudly when the
-/// requested backend is unsupported by this CPU or was already latched
-/// to something else — silently falling back would invalidate any
-/// parity or benchmark run that asked for a specific backend.
-fn apply_backend_flag(flags: &HashMap<String, String>) -> Result<(), String> {
-    if let Some(name) = flags.get("backend") {
-        let backend = cirgps::nn::Backend::parse(name)?;
-        cirgps::nn::Backend::force(backend).map_err(|e| format!("--backend {name}: {e}"))?;
-    }
-    Ok(())
-}
-
-/// Applies `--precision f32|int8` to a loaded model. Without the flag
-/// the checkpoint decides: one exported with `--quantize` carries a
-/// `quant` section and serves int8, anything else serves f32. `f32`
-/// drops any loaded int8 codes; `int8` quantizes in-process when the
-/// checkpoint did not ship codes (same math as `--quantize` at export).
-fn apply_precision_flag(
-    flags: &HashMap<String, String>,
-    model: &mut CircuitGps,
-) -> Result<(), String> {
-    match flags.get("precision").map(String::as_str) {
-        None => Ok(()),
-        Some("f32") => {
-            model.store_mut().clear_quant();
-            Ok(())
-        }
-        Some("int8") => {
-            if !model.store().has_quant() {
-                let n = model.store_mut().quantize_int8();
-                eprintln!("quantized {n} weight tensors to int8 (in-process, per-tensor scales)");
-            }
-            Ok(())
-        }
-        Some(other) => Err(format!(
-            "unknown --precision {other:?} (expected f32 or int8)"
-        )),
-    }
-}
-
-/// Applies `--quantize` before a checkpoint export: snapshots every
-/// quantizable weight as int8 so the saved file carries a `quant`
-/// section and downstream `predict`/`sweep`/`serve` default to int8.
+/// Applies `--quantize` before a checkpoint export: rounds every
+/// quantizable weight in place to its int8 grid, so the saved f32 file
+/// holds exactly the weights every later command computes with.
 fn apply_quantize_flag(
     flags: &HashMap<String, String>,
     model: &mut CircuitGps,
 ) -> Result<(), String> {
     if flag_bool(flags, "quantize")? {
         let n = model.store_mut().quantize_int8();
-        eprintln!("quantized {n} weight tensors to int8 for export (per-tensor scales)");
+        eprintln!("rounded {n} weight tensors to their int8 grid for export (per-tensor scales)");
     }
     Ok(())
 }
@@ -1338,12 +1283,9 @@ fn cmd_predict(flags: &HashMap<String, String>) -> Result<(), String> {
             "batch-size",
             "per-type",
             "model",
-            "backend",
-            "precision",
             "out",
         ],
     )?;
-    apply_backend_flag(flags)?;
     let netlist = load_netlist(flags)?;
     let spf = load_spf(flags)?;
     let per_type: usize = flag_parse(flags, "per-type", 200)?;
@@ -1369,11 +1311,10 @@ fn cmd_predict(flags: &HashMap<String, String>) -> Result<(), String> {
         },
     );
 
-    let mut model = match flags.get("model") {
+    let model = match flags.get("model") {
         Some(path) => load_checkpoint_file(path)?,
         None => CircuitGps::new(ModelConfig::default()),
     };
-    apply_precision_flag(flags, &mut model)?;
     let xcn = XcNormalizer::fit(&[&graph]);
     let mut session = InferenceSession::new(
         model,
@@ -1485,11 +1426,8 @@ fn cmd_sweep(flags: &HashMap<String, String>) -> Result<(), String> {
             "format",
             "out",
             "no-dedup",
-            "backend",
-            "precision",
         ],
     )?;
-    apply_backend_flag(flags)?;
     let netlist = load_netlist(flags)?;
     let task = match flags.get("task").map(String::as_str).unwrap_or("link") {
         "link" => SweepTask::Link,
@@ -1514,11 +1452,10 @@ fn cmd_sweep(flags: &HashMap<String, String>) -> Result<(), String> {
     let max_pairs: usize = flag_parse(flags, "max-pairs", 0)?;
 
     let (graph, _map) = netlist_to_graph(&netlist);
-    let mut model = match flags.get("model") {
+    let model = match flags.get("model") {
         Some(path) => load_checkpoint_file(path)?,
         None => CircuitGps::new(ModelConfig::default()),
     };
-    apply_precision_flag(flags, &mut model)?;
     // Same normalization and extraction parameters as `cirgps predict`
     // over the *plain* graph — the bitwise parity contract depends on
     // matching its inputs exactly.
@@ -1650,11 +1587,8 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
             "idle-timeout-ms",
             "ingress-timeout-ms",
             "max-conns",
-            "backend",
-            "precision",
         ],
     )?;
-    apply_backend_flag(flags)?;
     let defaults = ServeConfig::default();
     let max_batch = flag_parse(flags, "max-batch", defaults.max_batch)?;
     let max_wait_us = flag_parse(flags, "max-wait-us", defaults.max_wait.as_micros() as usize)?;
@@ -1716,7 +1650,7 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
 
     let netlist = load_netlist(flags)?;
     let (graph, _map) = netlist_to_graph(&netlist);
-    let mut model = match flags.get("model") {
+    let model = match flags.get("model") {
         Some(path) => load_checkpoint_file(path)?,
         None => {
             eprintln!(
@@ -1727,15 +1661,9 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
             CircuitGps::new(ModelConfig::default())
         }
     };
-    apply_precision_flag(flags, &mut model)?;
     eprintln!(
-        "inference backend: {}, precision: {}",
-        cirgps::nn::Backend::active().name(),
-        if model.store().has_quant() {
-            "int8"
-        } else {
-            "f32"
-        }
+        "inference backend: {}",
+        cirgps::nn::Backend::active().name()
     );
 
     let cfg = ServeConfig {

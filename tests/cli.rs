@@ -724,7 +724,7 @@ fn cli_serve_boots_and_answers_queries() {
     result.unwrap();
 }
 
-/// SIMD backends this host can run, as `--backend` values. Scalar is
+/// SIMD backends this host can run, as `CIRGPS_FORCE_BACKEND` values. Scalar is
 /// always first; the cross-backend assertions are vacuous (self vs
 /// self) on hosts with nothing wider, and CI pins an AVX2 runner.
 fn host_backends() -> Vec<&'static str> {
@@ -742,17 +742,17 @@ fn host_backends() -> Vec<&'static str> {
     v
 }
 
-/// Boots `serve` with the given extra flags, POSTs one predict request,
-/// and returns the raw response body. Wire format across backends is
+/// Boots `serve` forced onto `backend`, POSTs one predict request, and
+/// returns the raw response body. Wire format across backends is
 /// compared on these bytes.
-fn serve_once(sp: &str, extra: &[&str]) -> String {
+fn serve_once(sp: &str, backend: &str) -> String {
     use std::io::{BufRead, BufReader, Read, Write};
     let port = {
         let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         l.local_addr().unwrap().port()
     };
     let addr = format!("127.0.0.1:{port}");
-    let mut args = vec![
+    let args = [
         "serve",
         "--netlist",
         sp,
@@ -765,9 +765,9 @@ fn serve_once(sp: &str, extra: &[&str]) -> String {
         "--max-wait-us",
         "100",
     ];
-    args.extend_from_slice(extra);
     let mut daemon = cirgps()
-        .args(&args)
+        .args(args)
+        .env("CIRGPS_FORCE_BACKEND", backend)
         .stderr(std::process::Stdio::piped())
         .spawn()
         .expect("spawn serve");
@@ -822,7 +822,7 @@ fn serve_once(sp: &str, extra: &[&str]) -> String {
 
 /// The wire-format half of the parity contract: `predict` output files
 /// and `serve` response bodies must be byte-identical no matter which
-/// SIMD backend the process was forced onto, for both f32 and int8.
+/// SIMD backend the process was forced onto.
 #[test]
 fn cli_cross_backend_wire_format_is_stable() {
     let dir = std::env::temp_dir().join(format!("cirgps_cli_xbackend_{}", std::process::id()));
@@ -836,73 +836,58 @@ fn cli_cross_backend_wire_format_is_stable() {
     assert!(out.status.success());
     let sp = format!("{dir_s}/TIMING_CONTROL.sp");
     let spf = format!("{dir_s}/TIMING_CONTROL.spf");
+    let predict = |backend: &str, out_path: &str| {
+        cirgps()
+            .args([
+                "predict",
+                "--netlist",
+                &sp,
+                "--top",
+                "TIMING_CONTROL",
+                "--spf",
+                &spf,
+                "--per-type",
+                "20",
+                "--out",
+                out_path,
+            ])
+            .env("CIRGPS_FORCE_BACKEND", backend)
+            .output()
+            .expect("run predict")
+    };
 
-    for precision in ["f32", "int8"] {
-        let mut reference: Option<(String, Vec<u8>)> = None;
-        for backend in host_backends() {
-            let out_path = format!("{dir_s}/pred_{backend}_{precision}.jsonl");
-            let out = cirgps()
-                .args([
-                    "predict",
-                    "--netlist",
-                    &sp,
-                    "--top",
-                    "TIMING_CONTROL",
-                    "--spf",
-                    &spf,
-                    "--per-type",
-                    "20",
-                    "--backend",
-                    backend,
-                    "--precision",
-                    precision,
-                    "--out",
-                    &out_path,
-                ])
-                .output()
-                .expect("run predict");
-            assert!(
-                out.status.success(),
-                "predict --backend {backend} --precision {precision} failed: {}",
-                String::from_utf8_lossy(&out.stderr)
-            );
-            let bytes = std::fs::read(&out_path).expect("predict output");
-            assert!(!bytes.is_empty());
-            match &reference {
-                None => reference = Some((backend.to_string(), bytes)),
-                Some((ref_backend, ref_bytes)) => assert_eq!(
-                    ref_bytes, &bytes,
-                    "predict ({precision}) differs between {ref_backend} and {backend}"
-                ),
-            }
+    let mut reference: Option<(String, Vec<u8>)> = None;
+    for backend in host_backends() {
+        let out_path = format!("{dir_s}/pred_{backend}.jsonl");
+        let out = predict(backend, &out_path);
+        assert!(
+            out.status.success(),
+            "predict under CIRGPS_FORCE_BACKEND={backend} failed: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let bytes = std::fs::read(&out_path).expect("predict output");
+        assert!(!bytes.is_empty());
+        match &reference {
+            None => reference = Some((backend.to_string(), bytes)),
+            Some((ref_backend, ref_bytes)) => assert_eq!(
+                ref_bytes, &bytes,
+                "predict differs between {ref_backend} and {backend}"
+            ),
         }
     }
 
-    // An unsupported forced backend must fail loudly, not fall back.
-    let out = cirgps()
-        .args([
-            "predict",
-            "--netlist",
-            &sp,
-            "--top",
-            "TIMING_CONTROL",
-            "--spf",
-            &spf,
-            "--backend",
-            "neon",
-        ])
-        .output()
-        .expect("run predict");
+    // An unknown forced backend must fail loudly, not fall back.
+    let out = predict("neon", &format!("{dir_s}/pred_neon.jsonl"));
     assert!(!out.status.success());
     assert!(
-        String::from_utf8_lossy(&out.stderr).contains("backend"),
-        "error must name the backend flag"
+        String::from_utf8_lossy(&out.stderr).contains("CIRGPS_FORCE_BACKEND"),
+        "error must name the backend override"
     );
 
     // Serve wire format: identical response bytes under every backend.
     let mut reference: Option<(String, String)> = None;
     for backend in host_backends() {
-        let body = serve_once(&sp, &["--backend", backend]);
+        let body = serve_once(&sp, backend);
         assert!(body.contains("\"probs\":["), "bad predict body {body}");
         match &reference {
             None => reference = Some((backend.to_string(), body)),
@@ -913,5 +898,91 @@ fn cli_cross_backend_wire_format_is_stable() {
         }
     }
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// FNV-1a over bytes (same convention as `tests/datagen_golden.rs`).
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x100_0000_01b3);
+    }
+    h
+}
+
+/// `tests/fixtures/quant_section.ckpt` is a `--quantize` export written
+/// while exports still carried the int8 codes in a `quant` checkpoint
+/// section next to the unrounded f32 weights:
+///
+/// ```text
+/// cirgps pretrain --grammar bus:400:1:200 --hidden-dim 8 --layers 1 \
+///     --heads 2 --pe-dim 2 --epochs 4 --per-type 40 --seed 7 --quantize
+/// ```
+///
+/// Loading it writes the dequantized codes into the weights, so it must
+/// keep predicting exactly the bytes it predicted when it was written.
+#[test]
+fn cli_quant_section_checkpoint_predicts_the_same_bytes() {
+    let dir = std::env::temp_dir().join(format!("cirgps_cli_quantfx_{}", std::process::id()));
+    let dir_s = dir.to_str().unwrap().to_string();
+    let out = cirgps()
+        .args([
+            "datagen",
+            "--family",
+            "bus",
+            "--min-size",
+            "200",
+            "--max-size",
+            "400",
+            "--count",
+            "1",
+            "--out",
+            &dir_s,
+        ])
+        .output()
+        .expect("run datagen");
+    assert!(out.status.success());
+    let name = "G_BUS_INVX4_L16_S1";
+    let sp = format!("{dir_s}/{name}.sp");
+    let spf = format!("{dir_s}/{name}.spf");
+    let model = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/quant_section.ckpt"
+    );
+    for (task, digest) in [("link", "2d32fd3f20846bf5"), ("cap", "170d20d2b61f6f31")] {
+        let out_path = format!("{dir_s}/pred_{task}.jsonl");
+        let out = cirgps()
+            .args([
+                "predict",
+                "--model",
+                model,
+                "--netlist",
+                &sp,
+                "--top",
+                name,
+                "--spf",
+                &spf,
+                "--per-type",
+                "20",
+                "--task",
+                task,
+                "--out",
+                &out_path,
+            ])
+            .output()
+            .expect("run predict");
+        assert!(
+            out.status.success(),
+            "predict --task {task} failed: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let bytes = std::fs::read(&out_path).expect("predict output");
+        assert_eq!(
+            format!("{:016x}", fnv1a(&bytes)),
+            digest,
+            "--task {task} output drifted for the quant-section fixture"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,9 +1,10 @@
 //! End-to-end divergence bound for int8 weight-only quantization.
 //!
-//! Kernel-level parity lives in `crates/nn/tests/simd_parity.rs`; this
-//! suite checks the *model-level* contract over real enumerated grammar
-//! designs (the PR-9 corpus): serving a quantized model must stay close
-//! to full precision on every candidate pair — close enough that link
+//! `--quantize` rounds each weight matrix to its int8 grid; the
+//! per-GEMM bound lives in `crates/nn/tests/simd_parity.rs`. This suite
+//! checks the *model-level* contract over real enumerated grammar
+//! designs: a model with rounded weights must stay close to full
+//! precision on every candidate pair — close enough that link
 //! classifications agree and regression outputs shift by less than the
 //! label noise floor — while remaining bitwise-deterministic itself.
 
@@ -134,9 +135,9 @@ fn quantized_regression_predictions_diverge_boundedly_on_grammar_designs() {
 
 #[test]
 fn quantized_inference_is_bitwise_deterministic() {
-    // int8 serving is a first-class mode: repeated runs (fresh sessions,
-    // fresh quantization of identical weights) must agree bitwise, the
-    // same reproducibility bar the f32 path holds.
+    // Repeated runs (fresh sessions, fresh rounding of identical
+    // weights) must agree bitwise, the same reproducibility bar every
+    // f32 model holds.
     let (_, graph, pairs) = &corpus()[0];
     let a = session(graph, true).predict_links(pairs);
     let b = session(graph, true).predict_links(pairs);
