@@ -929,6 +929,59 @@ mod tests {
         assert!(model.num_params() > 0);
     }
 
+    /// The backward pruned to the trainable subgraph must hand the head
+    /// exactly the gradients of a full backward, and a loss with nothing
+    /// trainable behind it must yield no gradient at all.
+    #[test]
+    fn head_grads_with_frozen_backbone_match_full_backward_bitwise() {
+        let base = sample_with(PeKind::Dspd);
+        let samples: Vec<PreparedSample> = (0..4)
+            .map(|i| PreparedSample {
+                target: 0.1 + 0.2 * i as f32,
+                ..base.clone()
+            })
+            .collect();
+        let refs: Vec<&PreparedSample> = samples.iter().collect();
+        let backward = |model: &CircuitGps| {
+            let mut grads = GradStore::new(model.store());
+            let mut tape = Tape::new(model.store(), true, 3);
+            let loss = model.loss_reg_batch(&mut tape, &refs);
+            tape.backward(loss, &mut grads);
+            // Keep the running statistics as they were for the next pass.
+            drop(tape.take_buffer_updates());
+            grads
+        };
+        let head_bits = |model: &CircuitGps, grads: &GradStore| -> Vec<Option<Vec<u32>>> {
+            model
+                .store()
+                .iter()
+                .filter(|(_, name, _)| name.starts_with("head_reg."))
+                .map(|(id, _, _)| {
+                    let g = grads.get(id)?;
+                    Some(g.as_slice().iter().map(|v| v.to_bits()).collect())
+                })
+                .collect()
+        };
+        for cfg in configs_under_test() {
+            let mut model = CircuitGps::new(cfg.clone());
+            let full = head_bits(&model, &backward(&model));
+            assert!(!full.is_empty() && full.iter().all(Option::is_some));
+            model.freeze_backbone();
+            let head_only = head_bits(&model, &backward(&model));
+            assert_eq!(full, head_only, "{cfg:?}");
+
+            model.store_mut().set_trainable_by_prefix("", false);
+            let grads = backward(&model);
+            assert!(
+                model
+                    .store()
+                    .iter()
+                    .all(|(id, _, _)| grads.get(id).is_none()),
+                "{cfg:?}: a loss with nothing trainable produced gradients"
+            );
+        }
+    }
+
     #[test]
     fn mixed_zero_edge_pack_trains_through_per_graph_gate() {
         // A pack mixing zero-edge and edge-bearing subgraphs exercises

@@ -601,8 +601,12 @@ pub fn pretrain_link(
 /// Fine-tunes for regression per [`FinetuneMode`]:
 ///
 /// * `Scratch` — the caller passes a freshly initialized model;
-/// * `HeadOnly` — freezes encoders + GPS layers first (fast convergence);
-/// * `All` — trains every parameter from the pre-trained initialization.
+/// * `HeadOnly` — freezes encoders + GPS layers first. Nothing behind
+///   the regression head's input then needs a gradient, so the tape's
+///   backward differentiates only the head: a step costs one taped
+///   forward plus the head's backward;
+/// * `All` — trains every parameter from the pre-trained initialization
+///   (and pays the full backbone backward).
 ///
 /// # Errors
 ///
@@ -835,6 +839,45 @@ mod tests {
             backbone_before, backbone_after,
             "backbone changed in head-only mode"
         );
+    }
+
+    /// FNV-1a over the store's blob: every parameter and every state
+    /// buffer (batch-norm running statistics) as raw f32 bits.
+    fn store_digest(model: &CircuitGps) -> u64 {
+        let mut blob = Vec::new();
+        model.store().save_blob(&mut blob).unwrap();
+        blob.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x100_0000_01b3)
+        })
+    }
+
+    /// Pretrain, then fine-tune in each mode: the weights and running
+    /// statistics must equal, bit for bit, those of the code before the
+    /// backward pass was pruned to the trainable subgraph (digests
+    /// recorded at commit 7e702fa). Batches of 2 give one sub-batch per
+    /// step whatever the thread count, so the digests do not depend on
+    /// the host.
+    #[test]
+    fn head_only_finetune_matches_parent_bitwise() {
+        let data = toy_dataset();
+        let cfg = TrainConfig {
+            epochs: 2,
+            batch_size: 2,
+            ..Default::default()
+        };
+        for (mode, want) in [
+            (FinetuneMode::HeadOnly, 0x32fb_dd36_3ff6_05d3u64),
+            (FinetuneMode::All, 0xc17d_0b58_b8e3_30ae),
+        ] {
+            let mut model = tiny_model();
+            pretrain_link(&mut model, &data, &cfg).unwrap();
+            finetune_regression(&mut model, &data, mode, &cfg).unwrap();
+            assert_eq!(
+                format!("{:016x}", store_digest(&model)),
+                format!("{want:016x}"),
+                "{mode:?} fine-tune drifted from the pinned digest"
+            );
+        }
     }
 
     #[test]

@@ -7,6 +7,20 @@
 //! threads in parallel. Calling [`Tape::backward`] walks the arena in
 //! reverse and accumulates parameter gradients into a [`GradStore`].
 //!
+//! ## Backward pruned to the trainable subgraph
+//!
+//! Each var carries a "needs gradient" bit, set when it is recorded: a
+//! var needs one if it is a trainable parameter or if any of its
+//! operands needs one. [`Tape::backward`] only differentiates ops whose
+//! output needs a gradient, and within an op only the operand sides
+//! that need one (e.g. a linear layer whose input comes from frozen
+//! layers skips the `g·Wᵀ` GEMM). That is what makes a head-only
+//! fine-tune cheap: with the encoders and GPS layers frozen, nothing
+//! behind the regression head's input needs a gradient, so a step costs
+//! the taped forward plus the head's backward. The gradients trainable
+//! parameters receive are bitwise those of a full backward; only work
+//! whose result would have been dropped is skipped.
+//!
 //! ## Buffer recycling
 //!
 //! Every tensor the tape creates draws its backing store from the
@@ -58,7 +72,8 @@ enum Val {
 #[allow(dead_code)]
 #[derive(Debug)]
 enum Op {
-    /// Constant input; gradient is not propagated past it.
+    /// Constant input. It never needs a gradient, so no backward work
+    /// reaches it.
     Input,
     /// Reference to a model parameter; backward accumulates into the grad store.
     Param(ParamId),
@@ -160,6 +175,58 @@ enum Op {
     },
 }
 
+impl Op {
+    /// The vars the op reads, i.e. those its backward may send a
+    /// gradient to.
+    fn operands(&self) -> impl Iterator<Item = Var> + '_ {
+        let (fixed, listed): ([Option<Var>; 4], &[Var]) = match self {
+            Op::Input | Op::Param(_) => ([None; 4], &[]),
+            Op::ConcatCols(vars) => ([None; 4], vars),
+            Op::Scale(a, _)
+            | Op::AddScalar(a, _)
+            | Op::Relu(a)
+            | Op::Sigmoid(a)
+            | Op::Tanh(a)
+            | Op::Exp(a)
+            | Op::SoftmaxRows(a)
+            | Op::Transpose(a)
+            | Op::ColSlice(a, _, _)
+            | Op::Gather(a, _)
+            | Op::ScatterAdd(a, _, _)
+            | Op::MeanRows(a)
+            | Op::SumRows(a)
+            | Op::RowSum(a)
+            | Op::Dropout(a, _)
+            | Op::BceWithLogits(a, _)
+            | Op::MseLoss(a, _)
+            | Op::L1Loss(a, _)
+            | Op::HuberLoss(a, _, _)
+            | Op::CrossEntropy { logits: a, .. }
+            | Op::AttnBlockDiag { qkv: a, .. }
+            | Op::PerformerBlockDiag { qkv: a, .. } => ([Some(*a), None, None, None], &[]),
+            Op::Matmul(a, b)
+            | Op::Add(a, b)
+            | Op::AddBias(a, b)
+            | Op::Sub(a, b)
+            | Op::Mul(a, b)
+            | Op::Div(a, b)
+            | Op::MulColVec(a, b)
+            | Op::DivColVec(a, b)
+            | Op::SubColVec(a, b) => ([Some(*a), Some(*b), None, None], &[]),
+            Op::Linear { x, w, b } | Op::LinearRelu { x, w, b } => {
+                ([Some(*x), Some(*w), *b, None], &[])
+            }
+            Op::BatchNorm { x, gamma, beta, .. } => {
+                ([Some(*x), Some(*gamma), Some(*beta), None], &[])
+            }
+            Op::LinearQkv { x, wq, wk, wv, .. } => {
+                ([Some(*x), Some(*wq), Some(*wk), Some(*wv)], &[])
+            }
+        };
+        fixed.into_iter().flatten().chain(listed.iter().copied())
+    }
+}
+
 /// A recorded moving-average update of a state buffer (batch-norm
 /// running statistics): `buf ← (1 − momentum)·buf + momentum·value`.
 #[derive(Debug)]
@@ -211,6 +278,10 @@ pub struct Tape<'p> {
     /// Shape per var, recorded at push time so [`Tape::shape`] works even
     /// for values consumed by in-place ops.
     shapes: Vec<(usize, usize)>,
+    /// Per var: whether it is a trainable parameter or depends on one.
+    /// Ops are recorded in topological order, so the bit is final at
+    /// push time; [`Tape::backward`] does no work for vars without it.
+    needs_grad: Vec<bool>,
     training: bool,
     rng: StdRng,
     /// Buffer updates recorded by [`Tape::update_buffer_ema`], applied in
@@ -227,6 +298,7 @@ impl<'p> Tape<'p> {
             vals: Vec::new(),
             ops: Vec::new(),
             shapes: Vec::new(),
+            needs_grad: Vec::new(),
             training,
             rng: StdRng::seed_from_u64(seed),
             buffer_updates: Vec::new(),
@@ -324,9 +396,12 @@ impl<'p> Tape<'p> {
             }
         }
         self.shapes.clear();
+        self.needs_grad.clear();
     }
 
     fn push(&mut self, val: Tensor, op: Op) -> Var {
+        let needs_grad = op.operands().any(|v| self.needs_grad[v.0]);
+        self.needs_grad.push(needs_grad);
         self.shapes.push(val.shape());
         self.vals.push(Val::Owned(val));
         self.ops.push(op);
@@ -353,6 +428,7 @@ impl<'p> Tape<'p> {
     /// Brings a model parameter onto the tape (no copy).
     pub fn param(&mut self, id: ParamId) -> Var {
         self.shapes.push(self.params.get(id).shape());
+        self.needs_grad.push(self.params.is_trainable(id));
         self.vals.push(Val::Param(id));
         self.ops.push(Op::Param(id));
         Var(self.vals.len() - 1)
@@ -994,6 +1070,10 @@ impl<'p> Tape<'p> {
     /// Runs reverse-mode differentiation from `loss`, accumulating parameter
     /// gradients into `grads`.
     ///
+    /// Only the subgraph between `loss` and the trainable parameters is
+    /// differentiated (see the module docs); a loss with no trainable
+    /// parameter behind it leaves `grads` untouched.
+    ///
     /// Each upstream gradient buffer is returned to the thread-local pool
     /// as soon as it has been consumed, so repeated backward passes over
     /// same-shaped tapes allocate nothing.
@@ -1002,6 +1082,9 @@ impl<'p> Tape<'p> {
     ///
     /// Panics if `loss` is not on this tape.
     pub fn backward(&self, loss: Var, grads: &mut GradStore) {
+        if !self.needs_grad[loss.0] {
+            return;
+        }
         let mut local: Vec<Option<Tensor>> = (0..self.vals.len()).map(|_| None).collect();
         let (lr, lc) = self.shape(loss);
         local[loss.0] = Some(Tensor::ones(lr, lc));
@@ -1012,18 +1095,20 @@ impl<'p> Tape<'p> {
                 None => continue,
             };
             match &self.ops[i] {
-                Op::Input => g.recycle(),
+                Op::Input => unreachable!("an input never needs a gradient"),
                 Op::Param(id) => {
-                    if self.params.is_trainable(*id) {
-                        grads.accumulate(*id, &g);
-                    }
+                    grads.accumulate(*id, &g);
                     g.recycle();
                 }
                 Op::Matmul(a, b) => {
-                    let ga = g.matmul_t(self.value(*b));
-                    let gb = self.value(*a).t_matmul(&g);
-                    acc(&mut local, *a, ga);
-                    acc(&mut local, *b, gb);
+                    if self.needs_grad[a.0] {
+                        let ga = g.matmul_t(self.value(*b));
+                        self.acc(&mut local, *a, ga);
+                    }
+                    if self.needs_grad[b.0] {
+                        let gb = self.value(*a).t_matmul(&g);
+                        self.acc(&mut local, *b, gb);
+                    }
                     g.recycle();
                 }
                 Op::Linear { x, w, b } => {
@@ -1047,24 +1132,24 @@ impl<'p> Tape<'p> {
                     g.recycle();
                 }
                 Op::Add(a, b) => {
-                    acc(&mut local, *a, g.clone());
-                    acc(&mut local, *b, g);
+                    self.acc(&mut local, *a, g.clone());
+                    self.acc(&mut local, *b, g);
                 }
                 Op::AddBias(a, b) => {
                     let gb = g.col_sum();
-                    acc(&mut local, *a, g);
-                    acc(&mut local, *b, gb);
+                    self.acc(&mut local, *a, g);
+                    self.acc(&mut local, *b, gb);
                 }
                 Op::Sub(a, b) => {
                     let gb = g.scale(-1.0);
-                    acc(&mut local, *a, g);
-                    acc(&mut local, *b, gb);
+                    self.acc(&mut local, *a, g);
+                    self.acc(&mut local, *b, gb);
                 }
                 Op::Mul(a, b) => {
                     let ga = g.mul(self.value(*b));
                     let gb = g.mul(self.value(*a));
-                    acc(&mut local, *a, ga);
-                    acc(&mut local, *b, gb);
+                    self.acc(&mut local, *a, ga);
+                    self.acc(&mut local, *b, gb);
                     g.recycle();
                 }
                 Op::Div(a, b) => {
@@ -1072,8 +1157,8 @@ impl<'p> Tape<'p> {
                     let cv = self.value(Var(i));
                     let ga = g.zip3(bv, |gi, bi| gi / bi);
                     let gb = g.zip3_2(cv, bv, |gi, ci, bi| -gi * ci / bi);
-                    acc(&mut local, *a, ga);
-                    acc(&mut local, *b, gb);
+                    self.acc(&mut local, *a, ga);
+                    self.acc(&mut local, *b, gb);
                     g.recycle();
                 }
                 Op::Scale(a, s) => {
@@ -1081,9 +1166,9 @@ impl<'p> Tape<'p> {
                     for v in g.as_mut_slice() {
                         *v *= s;
                     }
-                    acc(&mut local, *a, g);
+                    self.acc(&mut local, *a, g);
                 }
-                Op::AddScalar(a, _) => acc(&mut local, *a, g),
+                Op::AddScalar(a, _) => self.acc(&mut local, *a, g),
                 Op::Relu(a) => {
                     // Mask by the output sign so in-place ReLU (which
                     // overwrites its input) differentiates identically.
@@ -1094,7 +1179,7 @@ impl<'p> Tape<'p> {
                             *gi = 0.0;
                         }
                     }
-                    acc(&mut local, *a, g);
+                    self.acc(&mut local, *a, g);
                 }
                 Op::Sigmoid(a) => {
                     let y = self.value(Var(i));
@@ -1102,7 +1187,7 @@ impl<'p> Tape<'p> {
                     for (gi, &yi) in g.as_mut_slice().iter_mut().zip(y.as_slice()) {
                         *gi *= yi * (1.0 - yi);
                     }
-                    acc(&mut local, *a, g);
+                    self.acc(&mut local, *a, g);
                 }
                 Op::Tanh(a) => {
                     let y = self.value(Var(i));
@@ -1110,7 +1195,7 @@ impl<'p> Tape<'p> {
                     for (gi, &yi) in g.as_mut_slice().iter_mut().zip(y.as_slice()) {
                         *gi *= 1.0 - yi * yi;
                     }
-                    acc(&mut local, *a, g);
+                    self.acc(&mut local, *a, g);
                 }
                 Op::Exp(a) => {
                     let y = self.value(Var(i));
@@ -1118,7 +1203,7 @@ impl<'p> Tape<'p> {
                     for (gi, &yi) in g.as_mut_slice().iter_mut().zip(y.as_slice()) {
                         *gi *= yi;
                     }
-                    acc(&mut local, *a, g);
+                    self.acc(&mut local, *a, g);
                 }
                 Op::SoftmaxRows(a) => {
                     let y = self.value(Var(i));
@@ -1131,11 +1216,11 @@ impl<'p> Tape<'p> {
                             *gi = (*gi - dot) * yi;
                         }
                     }
-                    acc(&mut local, *a, g);
+                    self.acc(&mut local, *a, g);
                 }
                 Op::Transpose(a) => {
                     let ga = g.transpose();
-                    acc(&mut local, *a, ga);
+                    self.acc(&mut local, *a, ga);
                     g.recycle();
                 }
                 Op::ConcatCols(vars) => {
@@ -1146,7 +1231,7 @@ impl<'p> Tape<'p> {
                         for r in 0..g.rows() {
                             gv.extend_from_slice(&g.row_slice(r)[off..off + c]);
                         }
-                        acc(&mut local, v, Tensor::from_vec(g.rows(), c, gv));
+                        self.acc(&mut local, v, Tensor::from_vec(g.rows(), c, gv));
                         off += c;
                     }
                     g.recycle();
@@ -1157,7 +1242,7 @@ impl<'p> Tape<'p> {
                     for r in 0..n {
                         ga.row_slice_mut(r)[*start..*start + *len].copy_from_slice(g.row_slice(r));
                     }
-                    acc(&mut local, *a, ga);
+                    self.acc(&mut local, *a, ga);
                     g.recycle();
                 }
                 Op::Gather(a, idx) => {
@@ -1168,7 +1253,7 @@ impl<'p> Tape<'p> {
                             *o += x;
                         }
                     }
-                    acc(&mut local, *a, ga);
+                    self.acc(&mut local, *a, ga);
                     g.recycle();
                 }
                 Op::ScatterAdd(a, idx, _) => {
@@ -1177,7 +1262,7 @@ impl<'p> Tape<'p> {
                     for &j in idx.iter() {
                         ga.extend_from_slice(g.row_slice(j));
                     }
-                    acc(&mut local, *a, Tensor::from_vec(idx.len(), d, ga));
+                    self.acc(&mut local, *a, Tensor::from_vec(idx.len(), d, ga));
                     g.recycle();
                 }
                 Op::MeanRows(a) => {
@@ -1187,7 +1272,7 @@ impl<'p> Tape<'p> {
                     for _ in 0..n {
                         ga.extend(g.row_slice(0).iter().map(|&x| x * inv));
                     }
-                    acc(&mut local, *a, Tensor::from_vec(n, d, ga));
+                    self.acc(&mut local, *a, Tensor::from_vec(n, d, ga));
                     g.recycle();
                 }
                 Op::SumRows(a) => {
@@ -1196,7 +1281,7 @@ impl<'p> Tape<'p> {
                     for _ in 0..n {
                         ga.extend_from_slice(g.row_slice(0));
                     }
-                    acc(&mut local, *a, Tensor::from_vec(n, d, ga));
+                    self.acc(&mut local, *a, Tensor::from_vec(n, d, ga));
                     g.recycle();
                 }
                 Op::RowSum(a) => {
@@ -1206,7 +1291,7 @@ impl<'p> Tape<'p> {
                         let gv = g.get(r, 0);
                         ga.extend(std::iter::repeat_n(gv, d));
                     }
-                    acc(&mut local, *a, Tensor::from_vec(n, d, ga));
+                    self.acc(&mut local, *a, Tensor::from_vec(n, d, ga));
                     g.recycle();
                 }
                 Op::MulColVec(a, v) => {
@@ -1221,8 +1306,8 @@ impl<'p> Tape<'p> {
                             .map(|(&x, &y)| x * y)
                             .sum::<f32>()
                     }));
-                    acc(&mut local, *a, ga);
-                    acc(&mut local, *v, Tensor::from_vec(vv.rows(), 1, gv));
+                    self.acc(&mut local, *a, ga);
+                    self.acc(&mut local, *v, Tensor::from_vec(vv.rows(), 1, gv));
                     g.recycle();
                 }
                 Op::DivColVec(a, v) => {
@@ -1239,23 +1324,23 @@ impl<'p> Tape<'p> {
                             .sum();
                         -s / vv.get(r, 0)
                     }));
-                    acc(&mut local, *a, ga);
-                    acc(&mut local, *v, Tensor::from_vec(vv.rows(), 1, gv));
+                    self.acc(&mut local, *a, ga);
+                    self.acc(&mut local, *v, Tensor::from_vec(vv.rows(), 1, gv));
                     g.recycle();
                 }
                 Op::SubColVec(a, v) => {
                     let mut gv = pool::take_capacity(g.rows());
                     gv.extend((0..g.rows()).map(|r| -g.row_slice(r).iter().sum::<f32>()));
                     let gv = Tensor::from_vec(g.rows(), 1, gv);
-                    acc(&mut local, *a, g);
-                    acc(&mut local, *v, gv);
+                    self.acc(&mut local, *a, g);
+                    self.acc(&mut local, *v, gv);
                 }
                 Op::Dropout(a, mask) => {
                     let mut g = g;
                     for (gi, &m) in g.as_mut_slice().iter_mut().zip(mask.iter()) {
                         *gi *= m;
                     }
-                    acc(&mut local, *a, g);
+                    self.acc(&mut local, *a, g);
                 }
                 Op::BatchNorm {
                     x,
@@ -1281,22 +1366,24 @@ impl<'p> Tape<'p> {
                             sum_dxhat_xhat[c] += dxh * xr[c];
                         }
                     }
-                    let nf = n.max(1) as f32;
-                    let mut gx = pool::take_capacity(n * d);
-                    for r in 0..n {
-                        let gr = g.row_slice(r);
-                        let xr = xhat.row_slice(r);
-                        gx.extend((0..d).map(|c| {
-                            let dxh = gr[c] * gv.as_slice()[c];
-                            (invstd.as_slice()[c] / nf)
-                                * (nf * dxh - sum_dxhat[c] - xr[c] * sum_dxhat_xhat[c])
-                        }));
+                    if self.needs_grad[x.0] {
+                        let nf = n.max(1) as f32;
+                        let mut gx = pool::take_capacity(n * d);
+                        for r in 0..n {
+                            let gr = g.row_slice(r);
+                            let xr = xhat.row_slice(r);
+                            gx.extend((0..d).map(|c| {
+                                let dxh = gr[c] * gv.as_slice()[c];
+                                (invstd.as_slice()[c] / nf)
+                                    * (nf * dxh - sum_dxhat[c] - xr[c] * sum_dxhat_xhat[c])
+                            }));
+                        }
+                        self.acc(&mut local, *x, Tensor::from_vec(n, d, gx));
                     }
                     pool::put(sum_dxhat);
                     pool::put(sum_dxhat_xhat);
-                    acc(&mut local, *x, Tensor::from_vec(n, d, gx));
-                    acc(&mut local, *gamma, Tensor::from_vec(1, d, dgamma));
-                    acc(&mut local, *beta, Tensor::from_vec(1, d, dbeta));
+                    self.acc(&mut local, *gamma, Tensor::from_vec(1, d, dgamma));
+                    self.acc(&mut local, *beta, Tensor::from_vec(1, d, dbeta));
                     g.recycle();
                 }
                 Op::BceWithLogits(a, y) => {
@@ -1309,7 +1396,7 @@ impl<'p> Tape<'p> {
                             .zip(y.iter())
                             .map(|(&zi, &yi)| (stable_sigmoid(zi) - yi) * gscale),
                     );
-                    acc(&mut local, *a, Tensor::from_vec(z.rows(), z.cols(), data));
+                    self.acc(&mut local, *a, Tensor::from_vec(z.rows(), z.cols(), data));
                     g.recycle();
                 }
                 Op::MseLoss(a, y) => {
@@ -1322,7 +1409,7 @@ impl<'p> Tape<'p> {
                             .zip(y.iter())
                             .map(|(&pi, &yi)| (pi - yi) * gscale),
                     );
-                    acc(&mut local, *a, Tensor::from_vec(p.rows(), p.cols(), data));
+                    self.acc(&mut local, *a, Tensor::from_vec(p.rows(), p.cols(), data));
                     g.recycle();
                 }
                 Op::L1Loss(a, y) => {
@@ -1335,7 +1422,7 @@ impl<'p> Tape<'p> {
                             .zip(y.iter())
                             .map(|(&pi, &yi)| (pi - yi).signum() * gscale),
                     );
-                    acc(&mut local, *a, Tensor::from_vec(p.rows(), p.cols(), data));
+                    self.acc(&mut local, *a, Tensor::from_vec(p.rows(), p.cols(), data));
                     g.recycle();
                 }
                 Op::HuberLoss(a, y, delta) => {
@@ -1348,7 +1435,7 @@ impl<'p> Tape<'p> {
                             .zip(y.iter())
                             .map(|(&pi, &yi)| (pi - yi).clamp(-delta, *delta) * gscale),
                     );
-                    acc(&mut local, *a, Tensor::from_vec(p.rows(), p.cols(), data));
+                    self.acc(&mut local, *a, Tensor::from_vec(p.rows(), p.cols(), data));
                     g.recycle();
                 }
                 Op::CrossEntropy {
@@ -1362,7 +1449,7 @@ impl<'p> Tape<'p> {
                     for (r, &lab) in labels.iter().enumerate() {
                         ga.set(r, lab, ga.get(r, lab) - gscale);
                     }
-                    acc(&mut local, *logits, ga);
+                    self.acc(&mut local, *logits, ga);
                     g.recycle();
                 }
                 Op::LinearQkv {
@@ -1376,23 +1463,28 @@ impl<'p> Tape<'p> {
                     let (n, d_in) = xv.shape();
                     let d3 = g.cols();
                     let d_out = d3 / 3;
-                    // gx = g · Wcatᵀ: one GEMM over the packed weight.
-                    let mut gx = pool::take_zeroed(n * d_in);
-                    gemm_abt(g.as_slice(), wcat.as_slice(), &mut gx, n, d3, d_in);
-                    // gWcat = xᵀ · g, then split into the three
-                    // projection gradients (column blocks of the pack).
-                    let mut gw = pool::take_zeroed(d_in * d3);
-                    gemm_atb(xv.as_slice(), g.as_slice(), &mut gw, d_in, n, d3);
-                    for (slot, var) in [(0usize, *wq), (1, *wk), (2, *wv)] {
-                        let mut part = pool::take_capacity(d_in * d_out);
-                        for r in 0..d_in {
-                            let base = r * d3 + slot * d_out;
-                            part.extend_from_slice(&gw[base..base + d_out]);
+                    let ws = [(0usize, *wq), (1, *wk), (2, *wv)];
+                    if ws.iter().any(|(_, w)| self.needs_grad[w.0]) {
+                        // gWcat = xᵀ · g, then split into the three
+                        // projection gradients (column blocks of the pack).
+                        let mut gw = pool::take_zeroed(d_in * d3);
+                        gemm_atb(xv.as_slice(), g.as_slice(), &mut gw, d_in, n, d3);
+                        for (slot, var) in ws {
+                            let mut part = pool::take_capacity(d_in * d_out);
+                            for r in 0..d_in {
+                                let base = r * d3 + slot * d_out;
+                                part.extend_from_slice(&gw[base..base + d_out]);
+                            }
+                            self.acc(&mut local, var, Tensor::from_vec(d_in, d_out, part));
                         }
-                        acc(&mut local, var, Tensor::from_vec(d_in, d_out, part));
+                        pool::put(gw);
                     }
-                    pool::put(gw);
-                    acc(&mut local, *x, Tensor::from_vec(n, d_in, gx));
+                    if self.needs_grad[x.0] {
+                        // gx = g · Wcatᵀ: one GEMM over the packed weight.
+                        let mut gx = pool::take_zeroed(n * d_in);
+                        gemm_abt(g.as_slice(), wcat.as_slice(), &mut gx, n, d3, d_in);
+                        self.acc(&mut local, *x, Tensor::from_vec(n, d_in, gx));
+                    }
                     g.recycle();
                 }
                 Op::AttnBlockDiag {
@@ -1445,7 +1537,7 @@ impl<'p> Tape<'p> {
                             }
                         }
                     }
-                    acc(&mut local, *qkv, gq);
+                    self.acc(&mut local, *qkv, gq);
                     g.recycle();
                 }
                 Op::PerformerBlockDiag {
@@ -1569,7 +1661,7 @@ impl<'p> Tape<'p> {
                         }
                         omega.recycle();
                     }
-                    acc(&mut local, *qkv, gq);
+                    self.acc(&mut local, *qkv, gq);
                     g.recycle();
                 }
             }
@@ -1586,9 +1678,13 @@ impl<'p> Tape<'p> {
         g: &Tensor,
         local: &mut [Option<Tensor>],
     ) {
-        let (gx, gw) = {
-            let xv = self.value(x);
-            let wv = self.value(w);
+        if let Some(bv) = b {
+            if self.needs_grad[bv.0] {
+                self.acc(local, bv, g.col_sum());
+            }
+        }
+        let (xv, wv) = (self.value(x), self.value(w));
+        if self.needs_grad[x.0] {
             // gx = g · Wᵀ
             let mut gx = pool::take_zeroed(xv.len());
             gemm_abt(
@@ -1599,6 +1695,9 @@ impl<'p> Tape<'p> {
                 g.cols(),
                 wv.rows(),
             );
+            self.acc(local, x, Tensor::from_vec(xv.rows(), xv.cols(), gx));
+        }
+        if self.needs_grad[w.0] {
             // gW = xᵀ · g
             let mut gw = pool::take_zeroed(wv.len());
             gemm_atb(
@@ -1609,16 +1708,26 @@ impl<'p> Tape<'p> {
                 xv.rows(),
                 g.cols(),
             );
-            (
-                Tensor::from_vec(xv.rows(), xv.cols(), gx),
-                Tensor::from_vec(wv.rows(), wv.cols(), gw),
-            )
-        };
-        if let Some(bv) = b {
-            acc(local, bv, g.col_sum());
+            self.acc(local, w, Tensor::from_vec(wv.rows(), wv.cols(), gw));
         }
-        acc(local, x, gx);
-        acc(local, w, gw);
+    }
+
+    /// Accumulates `g` into the local gradient slot for `v`; when the
+    /// slot is already occupied the incoming buffer is recycled after the
+    /// add. A gradient for a var that needs none is recycled unused, so
+    /// no op behind it is ever visited.
+    fn acc(&self, local: &mut [Option<Tensor>], v: Var, g: Tensor) {
+        if !self.needs_grad[v.0] {
+            g.recycle();
+            return;
+        }
+        match &mut local[v.0] {
+            Some(t) => {
+                t.add_assign(&g);
+                g.recycle();
+            }
+            slot @ None => *slot = Some(g),
+        }
     }
 }
 
@@ -1628,18 +1737,6 @@ impl Drop for Tape<'_> {
             update.apply(self.params);
         }
         self.recycle_storage();
-    }
-}
-
-/// Accumulates `g` into the local gradient slot for `v`; when the slot is
-/// already occupied the incoming buffer is recycled after the add.
-fn acc(local: &mut [Option<Tensor>], v: Var, g: Tensor) {
-    match &mut local[v.0] {
-        Some(t) => {
-            t.add_assign(&g);
-            g.recycle();
-        }
-        slot @ None => *slot = Some(g),
     }
 }
 
@@ -1684,6 +1781,7 @@ impl Tensor {
 mod tests {
     use super::*;
     use crate::params::xavier_uniform;
+    use proptest::prelude::*;
 
     /// Finite-difference gradient check for a scalar-valued function of one
     /// parameter.
@@ -2067,5 +2165,64 @@ mod tests {
         let mut grads = GradStore::new(&store);
         tape.backward(loss, &mut grads);
         assert!(grads.get(w).is_none());
+    }
+
+    /// A graph through every backward that skips a side: linear (bias,
+    /// `gx` and `gW`), batch norm, fused QKV + attention, matmul and
+    /// concat. `p` holds its ten parameters, input end first.
+    fn mixed_graph(tape: &mut Tape, p: &[ParamId], x: Tensor) -> Var {
+        let v: Vec<Var> = p.iter().map(|&id| tape.param(id)).collect();
+        let x = tape.input(x);
+        let h = tape.linear_relu(x, v[0], Some(v[1]));
+        let (h, _, _) = tape.batch_norm(h, v[2], v[3], 1e-5, None);
+        let qkv = tape.linear_qkv(h, v[4], v[5], v[6]);
+        let att = tape.attn_block_diag(qkv, Arc::new(vec![(0, 3), (3, 3)]), 2, 2);
+        let m = tape.matmul(att, v[7]);
+        let cat = tape.concat_cols(&[m, h]);
+        let pooled = tape.mean_rows(cat);
+        let y = tape.linear(pooled, v[8], Some(v[9]));
+        tape.mse_loss(y, &[0.3])
+    }
+
+    proptest! {
+        /// Freezing some parameters changes nothing, bit for bit, in the
+        /// gradients of the others; the frozen ones receive none.
+        #[test]
+        fn freezing_leaves_trainable_grads_bitwise_unchanged(
+            seed in 0u64..1000,
+            frozen_mask in 0u32..1024,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut store = ParamStore::new();
+            let shapes = [(4, 4), (1, 4), (1, 4), (1, 4), (4, 4), (4, 4), (4, 4), (4, 4), (8, 1), (1, 1)];
+            let p: Vec<ParamId> = shapes
+                .iter()
+                .enumerate()
+                .map(|(i, &(r, c))| store.register(&format!("p{i}"), xavier_uniform(r, c, &mut rng), true))
+                .collect();
+            let x = xavier_uniform(6, 4, &mut rng);
+            let grads_of = |store: &ParamStore| {
+                let mut tape = Tape::new(store, true, seed);
+                let loss = mixed_graph(&mut tape, &p, x.clone());
+                let mut grads = GradStore::new(store);
+                tape.backward(loss, &mut grads);
+                p.iter()
+                    .map(|&id| grads.get(id).map(|g| g.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>()))
+                    .collect::<Vec<_>>()
+            };
+            let all = grads_of(&store);
+            for (i, &id) in p.iter().enumerate() {
+                store.set_trainable(id, frozen_mask & (1 << i) == 0);
+            }
+            let some = grads_of(&store);
+            for (i, (a, s)) in all.iter().zip(&some).enumerate() {
+                prop_assert!(a.is_some(), "p{} got no gradient with nothing frozen", i);
+                if frozen_mask & (1 << i) == 0 {
+                    prop_assert_eq!(a, s);
+                } else {
+                    prop_assert!(s.is_none(), "frozen p{} got a gradient", i);
+                }
+            }
+        }
     }
 }
