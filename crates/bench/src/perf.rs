@@ -225,7 +225,6 @@ pub fn sweep_throughput_suite(c: &mut Criterion) {
         },
         chunk: 4096,
         threads: 1,
-        dedup: true,
     };
 
     let mut group = c.benchmark_group("sweep_throughput");
@@ -449,7 +448,6 @@ pub fn full_pipeline_suite(c: &mut Criterion) {
 /// trajectory file shows the dispatch win directly and a regression in
 /// either path is attributable.
 pub fn simd_kernels_suite(c: &mut Criterion) {
-    use cirgps_nn::simd::ops;
     use cirgps_nn::{Backend, Tensor};
 
     const M: usize = 64;
@@ -468,6 +466,7 @@ pub fn simd_kernels_suite(c: &mut Criterion) {
     let mut group = c.benchmark_group("simd_kernels");
     group.sample_size(10);
     for &backend in &backends {
+        let kn = backend.kernels();
         for n in [8usize, 32, 64] {
             let a = fill(M * K, 7);
             let b_mat = fill(K * n, 11);
@@ -475,7 +474,7 @@ pub fn simd_kernels_suite(c: &mut Criterion) {
                 let mut out = vec![0.0f32; M * n];
                 b.iter(|| {
                     out.iter_mut().for_each(|v| *v = 0.0);
-                    ops::gemm(backend, &a, &b_mat, &mut out, M, K, n);
+                    kn.gemm(&a, &b_mat, &mut out, M, K, n);
                     std::hint::black_box(&out);
                 })
             });
@@ -485,13 +484,13 @@ pub fn simd_kernels_suite(c: &mut Criterion) {
             let mut buf = xs.clone();
             b.iter(|| {
                 buf.copy_from_slice(&xs);
-                ops::sigmoid_sweep(backend, &mut buf);
+                kn.sigmoid_sweep(&mut buf);
                 std::hint::black_box(&buf);
             })
         });
         let x = Tensor::from_vec(256, 64, fill(256 * 64, 17));
         group.bench_function(format!("softmax_rows_256x64/{backend}"), |b| {
-            b.iter(|| std::hint::black_box(ops::softmax_rows(backend, &x, 0.125)))
+            b.iter(|| std::hint::black_box(kn.softmax_rows(&x, 0.125)))
         });
     }
     group.finish();

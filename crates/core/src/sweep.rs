@@ -67,9 +67,6 @@ pub struct SweepConfig {
     pub chunk: usize,
     /// Worker threads for the batched forward (1 = inline).
     pub threads: usize,
-    /// Deduplicate content-identical subgraphs within a window (exact
-    /// byte comparison — semantics-free, disable only for measurement).
-    pub dedup: bool,
 }
 
 impl Default for SweepConfig {
@@ -79,7 +76,6 @@ impl Default for SweepConfig {
             sampler: SamplerConfig::default(),
             chunk: 4096,
             threads: 1,
-            dedup: true,
         }
     }
 }
@@ -91,8 +87,8 @@ pub struct SweepStats {
     pub pairs: usize,
     /// Windows processed (`ceil(pairs / chunk)` unless aborted).
     pub chunks: usize,
-    /// Forward passes actually run (== unique neighborhood classes when
-    /// dedup is on, == `pairs` when off).
+    /// Forward passes actually run (== unique neighborhood classes,
+    /// summed over windows).
     pub unique_forwards: usize,
     /// Pairs answered from a window-local duplicate (no extra forward).
     pub dedup_hits: usize,
@@ -258,35 +254,24 @@ pub fn sweep_pairs(
         pair_class.clear();
         for &(a, b) in &window {
             sampler.extract_into(a, b, &mut scratch);
-            let class = if cfg.dedup {
-                let key = neighborhood_key(&scratch);
-                match memo.get(&key) {
-                    Some(&c) => {
-                        stats.dedup_hits += 1;
-                        c
-                    }
-                    None => {
-                        let c = uniques.len();
-                        memo.insert(key, c);
-                        uniques.push(PreparedSample::new(
-                            scratch.clone(),
-                            model.cfg.pe,
-                            xcn,
-                            1.0,
-                            0.0,
-                        ));
-                        c
-                    }
+            let key = neighborhood_key(&scratch);
+            let class = match memo.get(&key) {
+                Some(&c) => {
+                    stats.dedup_hits += 1;
+                    c
                 }
-            } else {
-                uniques.push(PreparedSample::new(
-                    scratch.clone(),
-                    model.cfg.pe,
-                    xcn,
-                    1.0,
-                    0.0,
-                ));
-                uniques.len() - 1
+                None => {
+                    let c = uniques.len();
+                    memo.insert(key, c);
+                    uniques.push(PreparedSample::new(
+                        scratch.clone(),
+                        model.cfg.pe,
+                        xcn,
+                        1.0,
+                        0.0,
+                    ));
+                    c
+                }
             };
             pair_class.push(class);
         }
@@ -530,7 +515,6 @@ mod tests {
                     sampler,
                     chunk: 7, // forces several windows over 20 pairs
                     threads,
-                    dedup: true,
                 };
                 let (got, stats) = collect_sweep(&model, &xcn, &g, &links, &cfg);
                 assert_eq!(got.len(), links.len());
@@ -551,35 +535,27 @@ mod tests {
         let (g, links) = toy_graph_and_links();
         let xcn = XcNormalizer::fit(&[&g]);
         // Repeat the pair list: every repeated pair must dedup within a
-        // window and answer identically.
+        // window and answer exactly as the per-pair predict path does.
         let mut pairs = links.clone();
         pairs.extend_from_slice(&links);
-        let base = SweepConfig {
+        let sampler = SamplerConfig {
+            hops: 1,
+            max_nodes: 64,
+        };
+        let cfg = SweepConfig {
             task: SweepTask::Link,
-            sampler: SamplerConfig {
-                hops: 1,
-                max_nodes: 64,
-            },
+            sampler,
             chunk: pairs.len(),
             threads: 1,
-            dedup: true,
         };
         let model = toy_model();
-        let (with, stats_with) = collect_sweep(&model, &xcn, &g, &pairs, &base);
-        let (without, stats_without) = collect_sweep(
-            &model,
-            &xcn,
-            &g,
-            &pairs,
-            &SweepConfig {
-                dedup: false,
-                ..base
-            },
-        );
-        for (a, b) in with.iter().zip(&without) {
+        let (with, stats_with) = collect_sweep(&model, &xcn, &g, &pairs, &cfg);
+        let mut session = InferenceSession::shared(&model, xcn.clone(), &g, sampler);
+        let want = session.predict_links(&pairs);
+        assert_eq!(with.len(), want.len());
+        for (a, b) in with.iter().zip(&want) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
-        assert_eq!(stats_without.unique_forwards, pairs.len());
         assert!(
             stats_with.unique_forwards <= links.len(),
             "duplicated input must not add forwards: {} > {}",
@@ -602,7 +578,6 @@ mod tests {
             },
             chunk: 4,
             threads: 1,
-            dedup: true,
         };
         let mut seen_pairs: Vec<(u32, u32)> = Vec::new();
         let stats = sweep_pairs(

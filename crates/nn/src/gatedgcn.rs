@@ -18,9 +18,10 @@ use std::sync::Arc;
 
 use rand::rngs::StdRng;
 
-use crate::infer::{add_div_inplace, assemble_edge_hat_typed, gated_scatter};
+use crate::infer::assemble_edge_hat_typed;
 use crate::layers::{BatchNorm1d, Linear};
 use crate::params::ParamStore;
+use crate::simd::Kernels;
 use crate::tape::{Tape, Var};
 use crate::tensor::Tensor;
 
@@ -251,9 +252,10 @@ impl GatedGcn {
         // Gates + node aggregation, fused: η = σ(ê) is computed per edge
         // and scattered into the numerator/denominator in edge order.
         let bx = self.b.infer(params, x);
-        let (num, den) = gated_scatter(&e_hat, &bx, &index.src, &index.dst, n);
+        let kn = Kernels::active();
+        let (num, den) = kn.gated_scatter(&e_hat, &bx, &index.src, &index.dst, n);
         bx.recycle();
-        let x_hat = add_div_inplace(self.a.infer(params, x), &num, &den, self.eps);
+        let x_hat = kn.add_div(self.a.infer(params, x), &num, &den, self.eps);
         num.recycle();
         den.recycle();
 

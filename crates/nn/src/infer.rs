@@ -15,61 +15,8 @@
 //! no op log, no [`crate::Var`] table and no per-op shape bookkeeping.
 
 use crate::pool;
-use crate::simd::Backend;
-use crate::tensor::{fast_exp, gemm, Tensor};
-
-/// In-place `v = max(v, 0)` on an explicit backend (bitwise-equal to the
-/// scalar sweep, including `-0.0 → +0.0` and `NaN → 0.0`).
-#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
-pub(crate) fn relu_sweep_with(backend: Backend, xs: &mut [f32]) {
-    #[cfg(target_arch = "x86_64")]
-    if backend != Backend::Scalar {
-        // SAFETY: non-scalar backends imply a successful AVX2+FMA probe.
-        return unsafe { crate::simd::avx2::relu_sweep(xs) };
-    }
-    for v in xs.iter_mut() {
-        *v = v.max(0.0);
-    }
-}
-
-/// In-place `v = fast_exp(v)` on an explicit backend.
-#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
-pub(crate) fn exp_sweep_with(backend: Backend, xs: &mut [f32]) {
-    #[cfg(target_arch = "x86_64")]
-    if backend != Backend::Scalar {
-        // SAFETY: non-scalar backends imply a successful AVX2+FMA probe.
-        return unsafe { crate::simd::avx2::exp_sweep(xs) };
-    }
-    for v in xs.iter_mut() {
-        *v = fast_exp(*v);
-    }
-}
-
-/// In-place `v = stable_sigmoid(v)` on an explicit backend.
-#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
-pub(crate) fn sigmoid_sweep_with(backend: Backend, xs: &mut [f32]) {
-    #[cfg(target_arch = "x86_64")]
-    if backend != Backend::Scalar {
-        // SAFETY: non-scalar backends imply a successful AVX2+FMA probe.
-        return unsafe { crate::simd::avx2::sigmoid_sweep(xs) };
-    }
-    for v in xs.iter_mut() {
-        *v = stable_sigmoid(*v);
-    }
-}
-
-/// In-place `v *= s` on an explicit backend.
-#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
-pub(crate) fn scale_sweep_with(backend: Backend, xs: &mut [f32], s: f32) {
-    #[cfg(target_arch = "x86_64")]
-    if backend != Backend::Scalar {
-        // SAFETY: non-scalar backends imply a successful AVX2+FMA probe.
-        return unsafe { crate::simd::avx2::scale_sweep(xs, s) };
-    }
-    for v in xs.iter_mut() {
-        *v *= s;
-    }
-}
+use crate::simd::Kernels;
+use crate::tensor::{fast_exp, Tensor};
 
 /// Numerically stable sigmoid, written select-style (no branch) so the
 /// `map` loops over whole tensors auto-vectorize.
@@ -112,58 +59,225 @@ pub(crate) fn linear_fwd(xv: &Tensor, wv: &Tensor, bias: Option<&Tensor>, relu: 
         }
         None => out.resize(m * n, 0.0),
     }
-    gemm(xv.as_slice(), wv.as_slice(), &mut out, m, k, n);
+    let kn = Kernels::active();
+    kn.gemm(xv.as_slice(), wv.as_slice(), &mut out, m, k, n);
     if relu {
-        relu_sweep_with(Backend::active(), &mut out);
+        kn.relu_sweep(&mut out);
     }
     Tensor::from_vec(m, n, out)
 }
 
-/// Row-wise softmax (append-only writes, vectorizable exp pass).
-///
-/// The row max and the row sum stay scalar-sequential on every backend
-/// so the reduction order — hence the result — is backend-invariant;
-/// only the elementwise exp and normalize passes dispatch to SIMD.
-pub(crate) fn softmax_rows_fwd(x: &Tensor) -> Tensor {
-    softmax_rows_impl(Backend::active(), x, 1.0)
-}
-
-/// Row-wise softmax of `scale · x` on an explicit backend.
-#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
-pub(crate) fn softmax_rows_impl(backend: Backend, x: &Tensor, scale: f32) -> Tensor {
-    let (n, d) = x.shape();
-    // Rows are written append-only (no zero-fill pass): for an
-    // N×N attention matrix the saved memset is a full extra sweep.
-    let mut out = pool::take_capacity(n * d);
-    out.reserve(n * d);
-    for r in 0..n {
-        let row = x.row_slice(r);
-        let max = row
-            .iter()
-            .map(|&v| v * scale)
-            .fold(f32::NEG_INFINITY, f32::max);
-        let start = out.len();
-        // Separate exp/sum/scale passes: the exp pass carries no
-        // cross-iteration dependency, so it vectorizes. (`v · 1.0`
-        // is exact, so the unscaled softmax shares this path.)
-        #[cfg(target_arch = "x86_64")]
-        if backend != Backend::Scalar {
-            // SAFETY: backend probe succeeded; `reserve` above guarantees
-            // capacity for the `d` raw writes before `set_len`.
-            unsafe {
-                crate::simd::avx2::softmax_exp_pass(out.as_mut_ptr().add(start), row, scale, max);
-                out.set_len(start + d);
-            }
-        } else {
-            out.extend(row.iter().map(|&v| fast_exp(v * scale - max)));
+/// The forward drivers built on per-row table entries: one
+/// implementation for every backend. Order-sensitive reductions (row
+/// max, row sum, squared norm) stay scalar-sequential here, so the
+/// reduction order — hence the result — is backend-invariant.
+impl Kernels {
+    /// Row-wise softmax of `scale · x` without materializing the scaled
+    /// matrix: each element is scaled exactly as a separate scale pass
+    /// would, and scaling by a positive constant is monotonic, so the
+    /// row max is the scaled max — bitwise-equal to scale-then-softmax.
+    /// `scale = 1.0` is the plain softmax (`v · 1.0` is exact).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `scale` is positive.
+    pub fn softmax_rows(&self, x: &Tensor, scale: f32) -> Tensor {
+        assert!(scale > 0.0, "softmax scale must be positive");
+        let (n, d) = x.shape();
+        // Rows are appended (no zero-fill pass): for an N×N attention
+        // matrix the saved memset is a full extra sweep. The exp pass
+        // carries no cross-iteration dependency, so it vectorizes.
+        let mut out = pool::take_capacity(n * d);
+        for r in 0..n {
+            let row = x.row_slice(r);
+            let max = row
+                .iter()
+                .map(|&v| v * scale)
+                .fold(f32::NEG_INFINITY, f32::max);
+            let start = out.len();
+            (self.softmax_exp_row)(&mut out, row, scale, max);
+            let sum: f32 = out[start..].iter().sum();
+            (self.scale_sweep)(&mut out[start..], 1.0 / sum.max(1e-30));
         }
-        #[cfg(not(target_arch = "x86_64"))]
-        out.extend(row.iter().map(|&v| fast_exp(v * scale - max)));
-        let sum: f32 = out[start..].iter().sum();
-        let inv = 1.0 / sum.max(1e-30);
-        scale_sweep_with(backend, &mut out[start..], inv);
+        Tensor::from_vec(n, d, out)
     }
-    Tensor::from_vec(n, d, out)
+
+    /// Eval-mode batch norm: normalizes by the given (running)
+    /// statistics, then applies the affine transform. Matches the tape's
+    /// eval-mode `batch_norm` arithmetic element for element: the inverse
+    /// standard deviation is materialized per column first, then each
+    /// element runs `((x − μ)·invstd)·γ + β`.
+    pub fn batch_norm(
+        &self,
+        x: &Tensor,
+        gamma: &Tensor,
+        beta: &Tensor,
+        eps: f32,
+        mean: &Tensor,
+        var: &Tensor,
+    ) -> Tensor {
+        self.bn_rows(x, None, gamma, beta, eps, mean, var)
+    }
+
+    /// Fused eval-mode `max(BN(x), 0) + residual`, one output sweep: the
+    /// per-element sequence of [`Kernels::batch_norm`], then ReLU, then
+    /// the residual add.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `residual` and `x` differ in shape.
+    #[allow(clippy::too_many_arguments)]
+    pub fn batch_norm_relu_add(
+        &self,
+        x: &Tensor,
+        gamma: &Tensor,
+        beta: &Tensor,
+        eps: f32,
+        mean: &Tensor,
+        var: &Tensor,
+        residual: &Tensor,
+    ) -> Tensor {
+        assert_eq!(residual.shape(), x.shape(), "residual shape mismatch");
+        self.bn_rows(x, Some(residual), gamma, beta, eps, mean, var)
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn bn_rows(
+        &self,
+        x: &Tensor,
+        residual: Option<&Tensor>,
+        gamma: &Tensor,
+        beta: &Tensor,
+        eps: f32,
+        mean: &Tensor,
+        var: &Tensor,
+    ) -> Tensor {
+        let (n, d) = x.shape();
+        let invstd = var.map(|v| 1.0 / (v + eps).sqrt());
+        let mut out = pool::take_capacity(n * d);
+        for r in 0..n {
+            (self.bn_row)(
+                &mut out,
+                x.row_slice(r),
+                residual.map(|t| t.row_slice(r)),
+                mean.as_slice(),
+                invstd.as_slice(),
+                gamma.as_slice(),
+                beta.as_slice(),
+            );
+        }
+        invstd.recycle();
+        Tensor::from_vec(n, d, out)
+    }
+
+    /// Fused eval-mode `BN(a + b)`, one output sweep (the GPS layer's
+    /// residual-then-batch-norm tail).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a` and `b` differ in shape.
+    #[allow(clippy::too_many_arguments)]
+    pub fn batch_norm_of_sum(
+        &self,
+        a: &Tensor,
+        b: &Tensor,
+        gamma: &Tensor,
+        beta: &Tensor,
+        eps: f32,
+        mean: &Tensor,
+        var: &Tensor,
+    ) -> Tensor {
+        assert_eq!(b.shape(), a.shape(), "summand shape mismatch");
+        let (n, d) = a.shape();
+        let invstd = var.map(|v| 1.0 / (v + eps).sqrt());
+        let mut out = pool::take_capacity(n * d);
+        for r in 0..n {
+            (self.bn_of_sum_row)(
+                &mut out,
+                a.row_slice(r),
+                b.row_slice(r),
+                mean.as_slice(),
+                invstd.as_slice(),
+                gamma.as_slice(),
+                beta.as_slice(),
+            );
+        }
+        invstd.recycle();
+        Tensor::from_vec(n, d, out)
+    }
+
+    /// Fused gated aggregation of one GatedGCN layer: for each edge `i`,
+    /// `η = σ(ê_i)`, `num[dst[i]] += η ⊙ bx[src[i]]`, `den[dst[i]] += η`,
+    /// in one pass over the edge stream instead of sigmoid + gather +
+    /// multiply + two scatter-adds. Per-element values and the
+    /// per-destination edge-order accumulation are unchanged.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `e_hat` has one row per edge and every `src` / `dst`
+    /// index is in range.
+    pub fn gated_scatter(
+        &self,
+        e_hat: &Tensor,
+        bx: &Tensor,
+        src: &[usize],
+        dst: &[usize],
+        n_out: usize,
+    ) -> (Tensor, Tensor) {
+        assert_eq!(e_hat.rows(), src.len(), "one e_hat row per edge");
+        assert_eq!(src.len(), dst.len(), "src/dst length mismatch");
+        let d = e_hat.cols();
+        let mut num = Tensor::zeros(n_out, d);
+        let mut den = Tensor::zeros(n_out, d);
+        for (i, (&j_src, &j_dst)) in src.iter().zip(dst).enumerate() {
+            assert!(j_src < bx.rows(), "src index out of range");
+            assert!(j_dst < n_out, "dst index out of range");
+            let out_row = j_dst * d..(j_dst + 1) * d;
+            (self.gated_edge)(
+                e_hat.row_slice(i),
+                &bx.row_slice(j_src)[..d],
+                &mut num.as_mut_slice()[out_row.clone()],
+                &mut den.as_mut_slice()[out_row],
+            );
+        }
+        (num, den)
+    }
+
+    /// Fused `x̂ = ax + num / (den + ε)`, consuming `ax`'s buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics on shape mismatch.
+    pub fn add_div(&self, mut ax: Tensor, num: &Tensor, den: &Tensor, eps: f32) -> Tensor {
+        assert_eq!(ax.shape(), num.shape(), "num shape mismatch");
+        assert_eq!(ax.shape(), den.shape(), "den shape mismatch");
+        (self.add_div_sweep)(ax.as_mut_slice(), num.as_slice(), den.as_slice(), eps);
+        ax
+    }
+
+    /// Performer feature map φ(x̂) over a pre-scaled input
+    /// `xs = x / d^{1/4}`: `φ = (exp(x̂ Ωᵀ − ‖x̂‖²/2) + ε) / √m`, with the
+    /// squared-norm and exp/stabilize/normalize passes fused. Per-element
+    /// arithmetic matches the unfused exp → +ε → ·(1/√m) sequence exactly
+    /// (no reassociation), and the squares are summed left-to-right like
+    /// a `mul` + `row_sum`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `xs.cols() != omega_t.rows()`.
+    pub fn performer_feature_map(&self, xs: &Tensor, omega_t: &Tensor, features: usize) -> Tensor {
+        assert_eq!(xs.cols(), omega_t.rows(), "projection shape mismatch");
+        let (rows, k) = xs.shape();
+        let cols = omega_t.cols();
+        let mut prod = pool::take_zeroed(rows * cols);
+        self.gemm(xs.as_slice(), omega_t.as_slice(), &mut prod, rows, k, cols);
+        let inv = 1.0 / (features as f32).sqrt();
+        for r in 0..rows {
+            let half: f32 = xs.row_slice(r).iter().map(|&v| v * v).sum::<f32>() * 0.5;
+            (self.feature_map_row)(&mut prod[r * cols..(r + 1) * cols], half, inv);
+        }
+        Tensor::from_vec(rows, cols, prod)
+    }
 }
 
 /// Broadcast of a `N×1` column over the columns of a `N×d` matrix.
@@ -329,79 +443,6 @@ fn add_gathered2_impl<const D: usize>(
     ce
 }
 
-/// Fused GatedGCN edge projection + neighbor assembly for the dense
-/// layers: `ê = (e·Cᵂ + bias) + dx[dst] + ex[src]` with the gathered
-/// adds applied in the GEMM's store epilogue, so the edge stream is
-/// written exactly once. Falls back to the unfused pair for widths
-/// without a fixed-N microkernel. Bitwise-equal to `linear_fwd` followed
-/// by [`add_gathered2_inplace`].
-///
-/// # Panics
-///
-/// Panics on shape mismatch.
-pub(crate) fn linear_add_gathered2(
-    e: &Tensor,
-    w: &Tensor,
-    bias: Option<&Tensor>,
-    dx: &Tensor,
-    dst: &[usize],
-    ex: &Tensor,
-    src: &[usize],
-) -> Tensor {
-    use crate::tensor::gemm_fixed_n_epilogue;
-
-    let (m, k) = e.shape();
-    assert_eq!(k, w.rows(), "linear shape mismatch");
-    let n = w.cols();
-    debug_assert_eq!(m, dst.len());
-    // Same dispatch conditions as the gemm fast path; other shapes take
-    // the two-pass route. SIMD backends always go two-pass: the vector
-    // microkernel stores the plain GEMM result and the gathered adds run
-    // as a second sweep — bitwise-equal to the fused store epilogue,
-    // since the epilogue applies the same per-element ops to the same
-    // final accumulator values.
-    if Backend::active() != Backend::Scalar || k > 256 || !matches!(n, 8 | 16 | 32 | 64) {
-        let ce = linear_fwd(e, w, bias, false);
-        return add_gathered2_inplace(ce, dx, dst, ex, src);
-    }
-    let mut out = pool::take_capacity(m * n);
-    match bias {
-        Some(bv) => {
-            assert_eq!(bv.shape(), (1, n), "bias must be 1x{n}");
-            for _ in 0..m {
-                out.extend_from_slice(bv.as_slice());
-            }
-        }
-        None => out.resize(m * n, 0.0),
-    }
-    macro_rules! run {
-        ($N:literal) => {
-            gemm_fixed_n_epilogue::<$N, _>(
-                e.as_slice(),
-                w.as_slice(),
-                &mut out,
-                m,
-                k,
-                |i, acc: &mut [f32; $N]| {
-                    let dxr = &dx.row_slice(dst[i])[..$N];
-                    let exr = &ex.row_slice(src[i])[..$N];
-                    for ((c, &a), &b) in acc.iter_mut().zip(dxr).zip(exr) {
-                        *c = (*c + a) + b;
-                    }
-                },
-            )
-        };
-    }
-    match n {
-        8 => run!(8),
-        16 => run!(16),
-        32 => run!(32),
-        64 => run!(64),
-        _ => unreachable!(),
-    }
-    Tensor::from_vec(m, n, out)
-}
-
 /// Fused first-layer edge assembly: `ê_i = table[code_i]·C-projected +
 /// dx[dst_i] + ex[src_i]` written in a single pass, with `ce_table`
 /// already holding the `C`-projection of the (few) edge-type rows.
@@ -430,284 +471,6 @@ pub(crate) fn assemble_edge_hat_typed(
         );
     }
     Tensor::from_vec(codes.len(), d, out)
-}
-
-/// Fused gated aggregation of one GatedGCN layer: for each edge `i`,
-/// `η = σ(ê_i)`, `num[dst[i]] += η ⊙ bx[src[i]]`, `den[dst[i]] += η`,
-/// in one pass over the edge stream instead of sigmoid + gather +
-/// multiply + two scatter-adds. Per-element values and the
-/// per-destination edge-order accumulation are unchanged.
-pub(crate) fn gated_scatter(
-    e_hat: &Tensor,
-    bx: &Tensor,
-    src: &[usize],
-    dst: &[usize],
-    n_out: usize,
-) -> (Tensor, Tensor) {
-    gated_scatter_with(Backend::active(), e_hat, bx, src, dst, n_out)
-}
-
-/// [`gated_scatter`] on an explicit backend.
-pub(crate) fn gated_scatter_with(
-    backend: Backend,
-    e_hat: &Tensor,
-    bx: &Tensor,
-    src: &[usize],
-    dst: &[usize],
-    n_out: usize,
-) -> (Tensor, Tensor) {
-    match e_hat.cols() {
-        16 => gated_scatter_impl::<16>(backend, e_hat, bx, src, dst, n_out),
-        32 => gated_scatter_impl::<32>(backend, e_hat, bx, src, dst, n_out),
-        64 => gated_scatter_impl::<64>(backend, e_hat, bx, src, dst, n_out),
-        _ => gated_scatter_impl::<0>(backend, e_hat, bx, src, dst, n_out),
-    }
-}
-
-#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
-fn gated_scatter_impl<const D: usize>(
-    backend: Backend,
-    e_hat: &Tensor,
-    bx: &Tensor,
-    src: &[usize],
-    dst: &[usize],
-    n_out: usize,
-) -> (Tensor, Tensor) {
-    let d = if D > 0 { D } else { e_hat.cols() };
-    debug_assert_eq!(e_hat.rows(), src.len());
-    let mut num = Tensor::zeros(n_out, d);
-    let mut den = Tensor::zeros(n_out, d);
-    // SIMD backends fuse sigmoid + multiply + both accumulates per edge
-    // (no η staging buffer); per-element values and the per-destination
-    // edge-order accumulation are identical to the scalar loop.
-    #[cfg(target_arch = "x86_64")]
-    if backend != Backend::Scalar {
-        for (i, (&j_src, &j_dst)) in src.iter().zip(dst).enumerate() {
-            let er = &e_hat.row_slice(i)[..d];
-            let bxr = &bx.row_slice(j_src)[..d];
-            let nr = &mut num.as_mut_slice()[j_dst * d..(j_dst + 1) * d];
-            let dr = &mut den.as_mut_slice()[j_dst * d..(j_dst + 1) * d];
-            // SAFETY: non-scalar backends imply a successful AVX2 probe.
-            unsafe {
-                crate::simd::avx2::gated_edge(er, bxr, nr, dr);
-            }
-        }
-        return (num, den);
-    }
-    let mut eta = pool::take_zeroed(d);
-    for (i, (&j_src, &j_dst)) in src.iter().zip(dst).enumerate() {
-        let er = &e_hat.row_slice(i)[..d];
-        for (g, &ev) in eta[..d].iter_mut().zip(er) {
-            *g = stable_sigmoid(ev);
-        }
-        let bxr = &bx.row_slice(j_src)[..d];
-        let nr = &mut num.as_mut_slice()[j_dst * d..(j_dst + 1) * d];
-        for ((o, &g), &bv) in nr.iter_mut().zip(&eta[..d]).zip(bxr) {
-            *o += g * bv;
-        }
-        let dr = &mut den.as_mut_slice()[j_dst * d..(j_dst + 1) * d];
-        for (o, &g) in dr.iter_mut().zip(&eta[..d]) {
-            *o += g;
-        }
-    }
-    pool::put(eta);
-    (num, den)
-}
-
-/// Fused `x̂ = ax + num / (den + ε)`, consuming `ax`'s buffer.
-pub(crate) fn add_div_inplace(ax: Tensor, num: &Tensor, den: &Tensor, eps: f32) -> Tensor {
-    add_div_inplace_with(Backend::active(), ax, num, den, eps)
-}
-
-/// [`add_div_inplace`] on an explicit backend.
-#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
-pub(crate) fn add_div_inplace_with(
-    backend: Backend,
-    mut ax: Tensor,
-    num: &Tensor,
-    den: &Tensor,
-    eps: f32,
-) -> Tensor {
-    debug_assert_eq!(ax.shape(), num.shape());
-    debug_assert_eq!(ax.shape(), den.shape());
-    #[cfg(target_arch = "x86_64")]
-    if backend != Backend::Scalar {
-        // SAFETY: non-scalar backends imply a successful AVX2+FMA probe.
-        unsafe {
-            crate::simd::avx2::add_div_sweep(
-                ax.as_mut_slice(),
-                num.as_slice(),
-                den.as_slice(),
-                eps,
-            );
-        }
-        return ax;
-    }
-    for ((a, &n), &d) in ax
-        .as_mut_slice()
-        .iter_mut()
-        .zip(num.as_slice())
-        .zip(den.as_slice())
-    {
-        *a += n / (d + eps);
-    }
-    ax
-}
-
-/// Fused eval-mode `max(BN(x), 0) + residual`, one output sweep. The
-/// per-element sequence is the tape's `((x − μ)·invstd)·γ + β`, then
-/// ReLU, then the residual add; zipped slice iteration keeps the sweep
-/// vectorizable (indexed column access compiles scalar).
-pub(crate) fn batch_norm_eval_relu_add_fwd(
-    x: &Tensor,
-    gamma: &Tensor,
-    beta: &Tensor,
-    eps: f32,
-    mean: &Tensor,
-    var: &Tensor,
-    residual: &Tensor,
-) -> Tensor {
-    batch_norm_eval_relu_add_with(Backend::active(), x, gamma, beta, eps, mean, var, residual)
-}
-
-/// [`batch_norm_eval_relu_add_fwd`] on an explicit backend.
-#[allow(clippy::too_many_arguments)]
-#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
-pub(crate) fn batch_norm_eval_relu_add_with(
-    backend: Backend,
-    x: &Tensor,
-    gamma: &Tensor,
-    beta: &Tensor,
-    eps: f32,
-    mean: &Tensor,
-    var: &Tensor,
-    residual: &Tensor,
-) -> Tensor {
-    let (n, d) = x.shape();
-    debug_assert_eq!(residual.shape(), (n, d));
-    let invstd = var.map(|v| 1.0 / (v + eps).sqrt());
-    let mut out = pool::take_capacity(n * d);
-    #[cfg(target_arch = "x86_64")]
-    if backend != Backend::Scalar {
-        out.reserve(n * d);
-        for r in 0..n {
-            let start = out.len();
-            // SAFETY: backend probe succeeded; `reserve` guarantees
-            // capacity for the `d` raw writes before `set_len`.
-            unsafe {
-                crate::simd::avx2::bn_row(
-                    out.as_mut_ptr().add(start),
-                    x.row_slice(r),
-                    Some(residual.row_slice(r)),
-                    true,
-                    mean.as_slice(),
-                    invstd.as_slice(),
-                    gamma.as_slice(),
-                    beta.as_slice(),
-                    d,
-                );
-                out.set_len(start + d);
-            }
-        }
-        invstd.recycle();
-        return Tensor::from_vec(n, d, out);
-    }
-    for r in 0..n {
-        out.extend(
-            x.row_slice(r)
-                .iter()
-                .zip(residual.row_slice(r))
-                .zip(mean.as_slice())
-                .zip(invstd.as_slice())
-                .zip(gamma.as_slice())
-                .zip(beta.as_slice())
-                .map(|(((((&xv, &rv), &mu), &is), &g), &b)| {
-                    (((xv - mu) * is) * g + b).max(0.0) + rv
-                }),
-        );
-    }
-    invstd.recycle();
-    Tensor::from_vec(n, d, out)
-}
-
-/// Fused eval-mode `BN(a + b)`, one output sweep (the GPS layer's
-/// residual-then-batch-norm tail).
-pub(crate) fn batch_norm_eval_of_sum_fwd(
-    a: &Tensor,
-    b: &Tensor,
-    gamma: &Tensor,
-    beta: &Tensor,
-    eps: f32,
-    mean: &Tensor,
-    var: &Tensor,
-) -> Tensor {
-    batch_norm_eval_of_sum_with(Backend::active(), a, b, gamma, beta, eps, mean, var)
-}
-
-/// [`batch_norm_eval_of_sum_fwd`] on an explicit backend.
-#[allow(clippy::too_many_arguments)]
-#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
-pub(crate) fn batch_norm_eval_of_sum_with(
-    backend: Backend,
-    a: &Tensor,
-    b: &Tensor,
-    gamma: &Tensor,
-    beta: &Tensor,
-    eps: f32,
-    mean: &Tensor,
-    var: &Tensor,
-) -> Tensor {
-    let (n, d) = a.shape();
-    debug_assert_eq!(b.shape(), (n, d));
-    let invstd = var.map(|v| 1.0 / (v + eps).sqrt());
-    let mut out = pool::take_capacity(n * d);
-    #[cfg(target_arch = "x86_64")]
-    if backend != Backend::Scalar {
-        out.reserve(n * d);
-        for r in 0..n {
-            let start = out.len();
-            // SAFETY: backend probe succeeded; `reserve` guarantees
-            // capacity for the `d` raw writes before `set_len`.
-            unsafe {
-                crate::simd::avx2::bn_of_sum_row(
-                    out.as_mut_ptr().add(start),
-                    a.row_slice(r),
-                    b.row_slice(r),
-                    mean.as_slice(),
-                    invstd.as_slice(),
-                    gamma.as_slice(),
-                    beta.as_slice(),
-                    d,
-                );
-                out.set_len(start + d);
-            }
-        }
-        invstd.recycle();
-        return Tensor::from_vec(n, d, out);
-    }
-    for r in 0..n {
-        out.extend(
-            a.row_slice(r)
-                .iter()
-                .zip(b.row_slice(r))
-                .zip(mean.as_slice())
-                .zip(invstd.as_slice())
-                .zip(gamma.as_slice())
-                .zip(beta.as_slice())
-                .map(|(((((&av, &bv), &mu), &is), &g), &bb)| (((av + bv) - mu) * is) * g + bb),
-        );
-    }
-    invstd.recycle();
-    Tensor::from_vec(n, d, out)
-}
-
-/// Row-wise softmax of `scale · x` without materializing the scaled
-/// matrix: each element is scaled identically to a separate scale pass
-/// (`round(s·x)`), and scaling by a positive constant is monotonic, so
-/// the row max is the scaled max — bitwise-equal to scale-then-softmax.
-pub(crate) fn softmax_rows_scaled_fwd(x: &Tensor, scale: f32) -> Tensor {
-    debug_assert!(scale > 0.0);
-    softmax_rows_impl(Backend::active(), x, scale)
 }
 
 /// Packs the three attention projection weights `[Wq | Wk | Wv]`
@@ -764,6 +527,7 @@ pub(crate) fn mha_block_diag_fwd(
     assert_eq!(qkv.cols(), 3 * dim, "qkv width must be 3·heads·head_dim");
     let n = qkv.rows();
     let scale = 1.0 / (head_dim as f32).sqrt();
+    let kn = Kernels::active();
     let mut cat = Tensor::zeros(n, dim);
     let mut saved = Vec::with_capacity(if save { blocks.len() * heads } else { 0 });
     for &(r0, len) in blocks {
@@ -778,7 +542,7 @@ pub(crate) fn mha_block_diag_fwd(
             // Scale fused into the softmax sweep (bitwise-equal: scaling
             // by a positive constant is monotone, so the row max is the
             // scaled max).
-            let attn = softmax_rows_scaled_fwd(&scores, scale);
+            let attn = kn.softmax_rows(&scores, scale);
             let out = attn.matmul(&vh);
             block_write(&mut cat, &out, r0, off);
             for t in [qh, kh, vh, kt, scores, out] {
@@ -792,59 +556,6 @@ pub(crate) fn mha_block_diag_fwd(
         }
     }
     (cat, saved)
-}
-
-/// Performer feature map φ(x̂) over a pre-scaled input `xs = x / d^{1/4}`:
-/// `φ = (exp(x̂ Ωᵀ − ‖x̂‖²/2) + ε) / √m`, with the squared-norm and
-/// exp/stabilize/normalize passes fused. Per-element arithmetic matches
-/// the unfused exp → +ε → ·(1/√m) sequence exactly (no reassociation),
-/// and the squares are summed left-to-right like a `mul` + `row_sum`.
-pub(crate) fn performer_feature_map_fwd(xs: &Tensor, omega_t: &Tensor, features: usize) -> Tensor {
-    performer_feature_map_with(Backend::active(), xs, omega_t, features)
-}
-
-/// [`performer_feature_map_fwd`] on an explicit backend.
-pub(crate) fn performer_feature_map_with(
-    backend: Backend,
-    xs: &Tensor,
-    omega_t: &Tensor,
-    features: usize,
-) -> Tensor {
-    let (rows, k) = xs.shape();
-    let cols = omega_t.cols();
-    let mut buf = pool::take_zeroed(rows * cols);
-    crate::tensor::gemm_with(
-        backend,
-        xs.as_slice(),
-        omega_t.as_slice(),
-        &mut buf,
-        rows,
-        k,
-        cols,
-    );
-    let mut prod = Tensor::from_vec(rows, cols, buf);
-    let inv = 1.0 / (features as f32).sqrt();
-    let (n, m) = prod.shape();
-    for r in 0..n {
-        // The squared-norm reduction stays scalar-sequential on every
-        // backend (order-sensitive); only the elementwise sweep
-        // vectorizes.
-        let half: f32 = xs.row_slice(r).iter().map(|&v| v * v).sum::<f32>() * 0.5;
-        let row = &mut prod.as_mut_slice()[r * m..(r + 1) * m];
-        #[cfg(target_arch = "x86_64")]
-        if backend != Backend::Scalar {
-            // SAFETY: non-scalar backends imply a successful AVX2 probe.
-            unsafe {
-                crate::simd::avx2::feature_map_sweep(row, half, inv);
-            }
-            continue;
-        }
-        let _ = backend;
-        for v in row.iter_mut() {
-            *v = (fast_exp(*v - half) + 1e-6) * inv;
-        }
-    }
-    prod
 }
 
 /// Fused block-diagonal Performer (FAVOR+) attention forward.
@@ -869,8 +580,7 @@ pub(crate) fn performer_block_diag_fwd(
     features: usize,
     save: bool,
 ) -> (Tensor, Vec<Tensor>, Vec<Tensor>) {
-    use crate::tensor::{gemm, gemm_atb, laned_sum};
-
+    let kn = Kernels::active();
     let dim = heads * head_dim;
     let (m, dh) = (features, head_dim);
     assert_eq!(qkv.cols(), 3 * dim, "qkv width must be 3·heads·head_dim");
@@ -891,8 +601,8 @@ pub(crate) fn performer_block_diag_fwd(
         let xs_q = block_slice_scaled(qkv, 0, n, off, dh, scale);
         let xs_k = block_slice_scaled(qkv, 0, n, dim + off, dh, scale);
         let vh = block_slice(qkv, 0, n, 2 * dim + off, dh);
-        let phi_q = performer_feature_map_fwd(&xs_q, &omega_t, m);
-        let phi_k = performer_feature_map_fwd(&xs_k, &omega_t, m);
+        let phi_q = kn.performer_feature_map(&xs_q, &omega_t, m);
+        let phi_k = kn.performer_feature_map(&xs_k, &omega_t, m);
         for &(r0, len) in blocks {
             assert!(r0 + len <= n, "attention block out of range");
             let pq = &phi_q.as_slice()[r0 * m..(r0 + len) * m];
@@ -902,9 +612,9 @@ pub(crate) fn performer_block_diag_fwd(
             // kernel reads the same values in the same order as the
             // taped transpose-then-matmul).
             let mut kv = pool::take_zeroed(m * dh);
-            gemm_atb(pk, vb, &mut kv, m, len, dh);
+            kn.gemm_atb(pk, vb, &mut kv, m, len, dh);
             let mut num = pool::take_zeroed(len * dh);
-            gemm(pq, &kv, &mut num, len, m, dh);
+            kn.gemm(pq, &kv, &mut num, len, m, dh);
             // k_sum = φ(K)ᵀ·1: a laned column sum with exactly the dot
             // kernel's summation tree (see `laned_sum`).
             let mut k_sum = pool::take_zeroed(m);
@@ -913,13 +623,13 @@ pub(crate) fn performer_block_diag_fwd(
                 for (r, c) in col.iter_mut().enumerate() {
                     *c = pk[r * m + f];
                 }
-                *ks = laned_sum(&col);
+                *ks = kn.laned_sum(&col);
             }
             pool::put(col);
             // den = φ(Q)·k_sum (the n == 1 dot path), then the divide
             // writes straight into the output block.
             let mut den = pool::take_zeroed(len);
-            gemm(pq, &k_sum, &mut den, len, m, 1);
+            kn.gemm(pq, &k_sum, &mut den, len, m, 1);
             for r in 0..len {
                 let drow = &mut cat.row_slice_mut(r0 + r)[off..off + dh];
                 let s = den[r];
@@ -943,76 +653,6 @@ pub(crate) fn performer_block_diag_fwd(
         }
     }
     (cat, saved_q, saved_k)
-}
-
-/// Eval-mode batch norm: normalizes by the given (running) statistics,
-/// then applies the affine transform. Matches the tape's eval-mode
-/// `batch_norm` arithmetic element for element: the inverse standard
-/// deviation is materialized per column first, then each element runs
-/// `((x − μ)·invstd)·γ + β`.
-pub(crate) fn batch_norm_eval_fwd(
-    x: &Tensor,
-    gamma: &Tensor,
-    beta: &Tensor,
-    eps: f32,
-    mean: &Tensor,
-    var: &Tensor,
-) -> Tensor {
-    batch_norm_eval_with(Backend::active(), x, gamma, beta, eps, mean, var)
-}
-
-/// [`batch_norm_eval_fwd`] on an explicit backend.
-#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
-pub(crate) fn batch_norm_eval_with(
-    backend: Backend,
-    x: &Tensor,
-    gamma: &Tensor,
-    beta: &Tensor,
-    eps: f32,
-    mean: &Tensor,
-    var: &Tensor,
-) -> Tensor {
-    let (n, d) = x.shape();
-    let invstd = var.map(|v| 1.0 / (v + eps).sqrt());
-    let mut out = pool::take_capacity(n * d);
-    #[cfg(target_arch = "x86_64")]
-    if backend != Backend::Scalar {
-        out.reserve(n * d);
-        for r in 0..n {
-            let start = out.len();
-            // SAFETY: backend probe succeeded; `reserve` guarantees
-            // capacity for the `d` raw writes before `set_len`.
-            unsafe {
-                crate::simd::avx2::bn_row(
-                    out.as_mut_ptr().add(start),
-                    x.row_slice(r),
-                    None,
-                    false,
-                    mean.as_slice(),
-                    invstd.as_slice(),
-                    gamma.as_slice(),
-                    beta.as_slice(),
-                    d,
-                );
-                out.set_len(start + d);
-            }
-        }
-        invstd.recycle();
-        return Tensor::from_vec(n, d, out);
-    }
-    for r in 0..n {
-        out.extend(
-            x.row_slice(r)
-                .iter()
-                .zip(mean.as_slice())
-                .zip(invstd.as_slice())
-                .zip(gamma.as_slice())
-                .zip(beta.as_slice())
-                .map(|((((&xv, &mu), &is), &g), &b)| ((xv - mu) * is) * g + b),
-        );
-    }
-    invstd.recycle();
-    Tensor::from_vec(n, d, out)
 }
 
 #[cfg(test)]
@@ -1045,7 +685,7 @@ mod tests {
     fn batch_norm_eval_identity_stats() {
         // mean 0 / var 1 / γ 1 / β 0 ⇒ output ≈ input (up to the ε term).
         let x = Tensor::from_vec(2, 2, vec![1.0, -2.0, 0.5, 3.0]);
-        let out = batch_norm_eval_fwd(
+        let out = Kernels::active().batch_norm(
             &x,
             &Tensor::ones(1, 2),
             &Tensor::zeros(1, 2),

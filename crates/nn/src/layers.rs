@@ -8,6 +8,7 @@
 use rand::rngs::StdRng;
 
 use crate::params::{normal_init, xavier_uniform, BufferId, ParamId, ParamStore};
+use crate::simd::Kernels;
 use crate::tape::{Tape, Var};
 use crate::tensor::Tensor;
 
@@ -40,15 +41,14 @@ impl Activation {
     /// same elementwise kernels as the taped ops, so results are
     /// bitwise-equal.
     pub fn infer(self, x: &mut Tensor) {
-        let backend = crate::simd::Backend::active();
         match self {
-            Activation::Relu => crate::infer::relu_sweep_with(backend, x.as_mut_slice()),
+            Activation::Relu => Kernels::active().relu_sweep(x.as_mut_slice()),
             Activation::Tanh => {
                 for v in x.as_mut_slice() {
                     *v = v.tanh();
                 }
             }
-            Activation::Sigmoid => crate::infer::sigmoid_sweep_with(backend, x.as_mut_slice()),
+            Activation::Sigmoid => Kernels::active().sigmoid_sweep(x.as_mut_slice()),
             Activation::Identity => {}
         }
     }
@@ -148,8 +148,9 @@ impl Linear {
         crate::infer::linear_fwd(x, params.get(self.w), self.b.map(|b| params.get(b)), true)
     }
 
-    /// Tape-free `(xW + b) + dx[dst] + ex[src]` with the gathered adds
-    /// fused into the GEMM's store epilogue (the GatedGCN edge update).
+    /// Tape-free `(xW + b) + dx[dst] + ex[src]` (the GatedGCN edge
+    /// update): the gathered adds run as one read-modify-write sweep over
+    /// the GEMM output, bitwise-equal to the taped `linear` + adds.
     pub fn infer_add_gathered2(
         &self,
         params: &ParamStore,
@@ -159,15 +160,7 @@ impl Linear {
         ex: &Tensor,
         src: &[usize],
     ) -> Tensor {
-        crate::infer::linear_add_gathered2(
-            x,
-            params.get(self.w),
-            self.b.map(|b| params.get(b)),
-            dx,
-            dst,
-            ex,
-            src,
-        )
+        crate::infer::add_gathered2_inplace(self.infer(params, x), dx, dst, ex, src)
     }
 }
 
@@ -300,7 +293,7 @@ impl BatchNorm1d {
     pub fn infer(&self, params: &ParamStore, x: &Tensor) -> Tensor {
         let mean = params.buffer(self.running_mean);
         let var = params.buffer(self.running_var);
-        let out = crate::infer::batch_norm_eval_fwd(
+        let out = Kernels::active().batch_norm(
             x,
             params.get(self.gamma),
             params.get(self.beta),
@@ -318,7 +311,7 @@ impl BatchNorm1d {
     pub fn infer_relu_add(&self, params: &ParamStore, x: &Tensor, residual: &Tensor) -> Tensor {
         let mean = params.buffer(self.running_mean);
         let var = params.buffer(self.running_var);
-        let out = crate::infer::batch_norm_eval_relu_add_fwd(
+        let out = Kernels::active().batch_norm_relu_add(
             x,
             params.get(self.gamma),
             params.get(self.beta),
@@ -337,7 +330,7 @@ impl BatchNorm1d {
     pub fn infer_of_sum(&self, params: &ParamStore, a: &Tensor, b: &Tensor) -> Tensor {
         let mean = params.buffer(self.running_mean);
         let var = params.buffer(self.running_var);
-        let out = crate::infer::batch_norm_eval_of_sum_fwd(
+        let out = Kernels::active().batch_norm_of_sum(
             a,
             b,
             params.get(self.gamma),

@@ -49,11 +49,12 @@ use rand::{Rng, SeedableRng};
 use crate::infer::{
     block_slice, block_write, colvec_zip, concat_cols as concat_cols_fwd, gather_rows, linear_fwd,
     mha_block_diag_fwd, performer_block_diag_fwd, qkv_pack_weights, row_sum_fwd, scatter_add_rows,
-    softmax_rows_fwd, stable_sigmoid,
+    stable_sigmoid,
 };
 use crate::params::{BufferId, GradStore, ParamId, ParamStore};
 use crate::pool;
-use crate::tensor::{fast_exp, gemm_abt, gemm_atb, Tensor};
+use crate::simd::Kernels;
+use crate::tensor::{fast_exp, Tensor};
 
 /// Handle to a value on a [`Tape`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -634,7 +635,7 @@ impl<'p> Tape<'p> {
 
     /// Row-wise softmax.
     pub fn softmax_rows(&mut self, a: Var) -> Var {
-        let out = softmax_rows_fwd(self.value(a));
+        let out = Kernels::active().softmax_rows(self.value(a), 1.0);
         self.push(out, Op::SoftmaxRows(a))
     }
 
@@ -1468,7 +1469,14 @@ impl<'p> Tape<'p> {
                         // gWcat = xᵀ · g, then split into the three
                         // projection gradients (column blocks of the pack).
                         let mut gw = pool::take_zeroed(d_in * d3);
-                        gemm_atb(xv.as_slice(), g.as_slice(), &mut gw, d_in, n, d3);
+                        Kernels::active().gemm_atb(
+                            xv.as_slice(),
+                            g.as_slice(),
+                            &mut gw,
+                            d_in,
+                            n,
+                            d3,
+                        );
                         for (slot, var) in ws {
                             let mut part = pool::take_capacity(d_in * d_out);
                             for r in 0..d_in {
@@ -1482,7 +1490,14 @@ impl<'p> Tape<'p> {
                     if self.needs_grad[x.0] {
                         // gx = g · Wcatᵀ: one GEMM over the packed weight.
                         let mut gx = pool::take_zeroed(n * d_in);
-                        gemm_abt(g.as_slice(), wcat.as_slice(), &mut gx, n, d3, d_in);
+                        Kernels::active().gemm_abt(
+                            g.as_slice(),
+                            wcat.as_slice(),
+                            &mut gx,
+                            n,
+                            d3,
+                            d_in,
+                        );
                         self.acc(&mut local, *x, Tensor::from_vec(n, d_in, gx));
                     }
                     g.recycle();
@@ -1687,7 +1702,7 @@ impl<'p> Tape<'p> {
         if self.needs_grad[x.0] {
             // gx = g · Wᵀ
             let mut gx = pool::take_zeroed(xv.len());
-            gemm_abt(
+            Kernels::active().gemm_abt(
                 g.as_slice(),
                 wv.as_slice(),
                 &mut gx,
@@ -1700,7 +1715,7 @@ impl<'p> Tape<'p> {
         if self.needs_grad[w.0] {
             // gW = xᵀ · g
             let mut gw = pool::take_zeroed(wv.len());
-            gemm_atb(
+            Kernels::active().gemm_atb(
                 xv.as_slice(),
                 g.as_slice(),
                 &mut gw,

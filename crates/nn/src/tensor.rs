@@ -21,14 +21,7 @@ use std::fmt;
 use std::sync::OnceLock;
 
 use crate::pool;
-use crate::simd::Backend;
-
-/// k-panel height for the blocked GEMM kernels. A `KC × n` panel of the
-/// right-hand matrix stays cache-hot while every output row is updated,
-/// without changing the per-element accumulation order (k stays
-/// ascending), so blocked results are bitwise-equal to the naive i-k-j
-/// loop.
-const KC: usize = 128;
+use crate::simd::Kernels;
 
 /// Default multiply-accumulate count above which matmuls go parallel.
 const DEFAULT_PAR_MACS: usize = 4 << 20;
@@ -62,520 +55,145 @@ pub(crate) fn use_parallel(m: usize, k: usize, n: usize) -> bool {
         && m.saturating_mul(k).saturating_mul(n) >= threshold
 }
 
-/// `out += a · b` for row-major `a (m×k)`, `b (k×n)`, `out (m×n)`.
-///
-/// k-panelled so a `KC × n` slab of `b` stays cache-resident across all
-/// output rows, with the inner accumulation unrolled over four k-steps:
-/// the output row is streamed once per four B rows instead of once per
-/// row, which is what makes the small `d×d` model matmuls fast. The
-/// serial and parallel paths share this kernel, so they stay
-/// bitwise-identical; versus a naive i-k-j loop the 4-way grouping is
-/// tolerance-equal (different f32 summation tree), not bitwise.
-pub(crate) fn gemm_serial(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    gemm_serial_with(Backend::active(), a, b, out, m, k, n)
-}
-
-/// [`gemm_serial`] on an explicit backend. The SIMD microkernels keep
-/// each output element's k-accumulation order, so every backend is
-/// bitwise-equal (see `crate::simd`).
-#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
-pub(crate) fn gemm_serial_with(
-    backend: Backend,
-    a: &[f32],
-    b: &[f32],
+/// Runs `band(i0, rows, out_band)` over the `m × n` output: once over
+/// all rows, or — when `parallel` and threading can help — on one
+/// scoped thread per disjoint, contiguous band of rows. Each output
+/// element is computed by exactly one band with the same kernel, so
+/// both ways are bitwise-identical.
+fn row_bands(
+    parallel: bool,
     out: &mut [f32],
     m: usize,
-    k: usize,
     n: usize,
+    band: impl Fn(usize, usize, &mut [f32]) + Sync,
 ) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(out.len(), m * n);
-    if n == 1 {
-        // Column-vector RHS (e.g. the d→1 output heads): one dot product
-        // per output element; the AXPY loop would make k width-1 passes.
-        // Lives here (not in the `gemm` dispatcher) so serial, parallel,
-        // and auto paths all use the same kernel for this shape.
-        for (i, o) in out.iter_mut().enumerate() {
-            *o += dot_with(backend, &a[i * k..(i + 1) * k], b);
-        }
-        return;
-    }
-    // SIMD backends: the fixed-width microkernels cover the model's
-    // power-of-two widths at any k (a straight 4-unrolled k loop equals
-    // the KC-panelled one because KC % 4 == 0); everything else runs the
-    // vectorized generic AXPY loop. N=8 stays on the AVX2 kernel under
-    // Avx512 (one 256-bit vector per row is already optimal).
-    #[cfg(target_arch = "x86_64")]
-    if backend != Backend::Scalar {
-        // SAFETY: a non-scalar backend is only selected after its CPU
-        // feature probe succeeded (`Backend::available`).
-        unsafe {
-            return match (backend, n) {
-                (Backend::Avx512, 16) => crate::simd::avx512::gemm_fixed::<16>(a, b, out, m, k),
-                (Backend::Avx512, 32) => crate::simd::avx512::gemm_fixed::<32>(a, b, out, m, k),
-                (Backend::Avx512, 64) => crate::simd::avx512::gemm_fixed::<64>(a, b, out, m, k),
-                (_, 8) => crate::simd::avx2::gemm_fixed::<8>(a, b, out, m, k),
-                (_, 16) => crate::simd::avx2::gemm_fixed::<16>(a, b, out, m, k),
-                (_, 32) => crate::simd::avx2::gemm_fixed::<32>(a, b, out, m, k),
-                (_, 64) => crate::simd::avx2::gemm_fixed::<64>(a, b, out, m, k),
-                _ => crate::simd::avx2::gemm_generic(a, b, out, m, k, n, KC),
-            };
-        }
-    }
-    // Register-blocked microkernels for the model's power-of-two widths:
-    // the output row lives in a `[f32; N]` accumulator for the whole k
-    // loop (one load, one store) instead of being re-streamed every four
-    // k-steps. The k order, 4-way grouping and panel boundaries are
-    // identical to the generic loop below, so results stay bitwise-equal;
-    // the k ≤ 2·KC bound keeps the whole `b` matrix L1/L2-resident.
-    if k <= 2 * KC {
-        match n {
-            8 => return gemm_fixed_n::<8>(a, b, out, m, k),
-            16 => return gemm_fixed_n::<16>(a, b, out, m, k),
-            32 => return gemm_fixed_n::<32>(a, b, out, m, k),
-            64 => return gemm_fixed_n::<64>(a, b, out, m, k),
-            _ => {}
-        }
-    }
-    for p0 in (0..k).step_by(KC) {
-        let p1 = (p0 + KC).min(k);
-        for i in 0..m {
-            let arow = &a[i * k..(i + 1) * k];
-            let orow = &mut out[i * n..i * n + n];
-            let mut p = p0;
-            while p + 4 <= p1 {
-                let (a0, a1, a2, a3) = (arow[p], arow[p + 1], arow[p + 2], arow[p + 3]);
-                let b0 = &b[p * n..p * n + n];
-                let b1 = &b[(p + 1) * n..(p + 1) * n + n];
-                let b2 = &b[(p + 2) * n..(p + 2) * n + n];
-                let b3 = &b[(p + 3) * n..(p + 3) * n + n];
-                for ((((o, &v0), &v1), &v2), &v3) in orow.iter_mut().zip(b0).zip(b1).zip(b2).zip(b3)
-                {
-                    let t = a1.mul_add(v1, a0.mul_add(v0, *o));
-                    *o = a3.mul_add(v3, a2.mul_add(v2, t));
-                }
-                p += 4;
-            }
-            while p < p1 {
-                let av = arow[p];
-                let brow = &b[p * n..p * n + n];
-                for (o, &bv) in orow.iter_mut().zip(brow) {
-                    *o = av.mul_add(bv, *o);
-                }
-                p += 1;
-            }
-        }
-    }
-}
-
-/// `out += a · b` for a compile-time column count `N`: each output row
-/// accumulates in registers across the whole (panelled, 4-unrolled) k
-/// loop. Same per-element accumulation order as the generic kernel in
-/// [`gemm_serial`], hence bitwise-equal — just ~2× fewer loads/stores.
-fn gemm_fixed_n<const N: usize>(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize) {
-    gemm_fixed_n_epilogue::<N, _>(a, b, out, m, k, |_, _| {});
-}
-
-/// [`gemm_fixed_n`] with a per-row store epilogue: `epilogue(i, acc)`
-/// runs after row `i`'s accumulation completes, just before the store.
-/// Fusing post-GEMM elementwise work here (e.g. the GatedGCN edge
-/// assembly's gathered adds) saves a full read-modify-write sweep of the
-/// output and is bitwise-equal to applying the same ops afterwards.
-pub(crate) fn gemm_fixed_n_epilogue<const N: usize, E>(
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    m: usize,
-    k: usize,
-    epilogue: E,
-) where
-    E: Fn(usize, &mut [f32; N]),
-{
-    // Two output rows per pass: the four B rows of each k-group are
-    // loaded once and feed both accumulators, roughly halving the load
-    // traffic per FMA. Rows are independent, so per-row arithmetic (and
-    // the single-row tail) is unchanged.
-    let mut i = 0;
-    while i + 2 <= m {
-        let arow0 = &a[i * k..(i + 1) * k];
-        let arow1 = &a[(i + 1) * k..(i + 2) * k];
-        let mut acc0 = [0.0f32; N];
-        let mut acc1 = [0.0f32; N];
-        acc0.copy_from_slice(&out[i * N..(i + 1) * N]);
-        acc1.copy_from_slice(&out[(i + 1) * N..(i + 2) * N]);
-        for p0 in (0..k).step_by(KC) {
-            let p1 = (p0 + KC).min(k);
-            let mut p = p0;
-            while p + 4 <= p1 {
-                let (x0, x1, x2, x3) = (arow0[p], arow0[p + 1], arow0[p + 2], arow0[p + 3]);
-                let (y0, y1, y2, y3) = (arow1[p], arow1[p + 1], arow1[p + 2], arow1[p + 3]);
-                let b0 = &b[p * N..p * N + N];
-                let b1 = &b[(p + 1) * N..(p + 1) * N + N];
-                let b2 = &b[(p + 2) * N..(p + 2) * N + N];
-                let b3 = &b[(p + 3) * N..(p + 3) * N + N];
-                for j in 0..N {
-                    let t0 = x1.mul_add(b1[j], x0.mul_add(b0[j], acc0[j]));
-                    acc0[j] = x3.mul_add(b3[j], x2.mul_add(b2[j], t0));
-                    let t1 = y1.mul_add(b1[j], y0.mul_add(b0[j], acc1[j]));
-                    acc1[j] = y3.mul_add(b3[j], y2.mul_add(b2[j], t1));
-                }
-                p += 4;
-            }
-            while p < p1 {
-                let xv = arow0[p];
-                let yv = arow1[p];
-                let brow = &b[p * N..p * N + N];
-                for j in 0..N {
-                    acc0[j] = xv.mul_add(brow[j], acc0[j]);
-                    acc1[j] = yv.mul_add(brow[j], acc1[j]);
-                }
-                p += 1;
-            }
-        }
-        epilogue(i, &mut acc0);
-        epilogue(i + 1, &mut acc1);
-        out[i * N..(i + 1) * N].copy_from_slice(&acc0);
-        out[(i + 1) * N..(i + 2) * N].copy_from_slice(&acc1);
-        i += 2;
-    }
-    if i < m {
-        let arow = &a[i * k..(i + 1) * k];
-        let orow = &mut out[i * N..(i + 1) * N];
-        let mut acc = [0.0f32; N];
-        acc.copy_from_slice(orow);
-        for p0 in (0..k).step_by(KC) {
-            let p1 = (p0 + KC).min(k);
-            let mut p = p0;
-            while p + 4 <= p1 {
-                let (a0, a1, a2, a3) = (arow[p], arow[p + 1], arow[p + 2], arow[p + 3]);
-                let b0 = &b[p * N..p * N + N];
-                let b1 = &b[(p + 1) * N..(p + 1) * N + N];
-                let b2 = &b[(p + 2) * N..(p + 2) * N + N];
-                let b3 = &b[(p + 3) * N..(p + 3) * N + N];
-                for j in 0..N {
-                    let t = a1.mul_add(b1[j], a0.mul_add(b0[j], acc[j]));
-                    acc[j] = a3.mul_add(b3[j], a2.mul_add(b2[j], t));
-                }
-                p += 4;
-            }
-            while p < p1 {
-                let av = arow[p];
-                let brow = &b[p * N..p * N + N];
-                for j in 0..N {
-                    acc[j] = av.mul_add(brow[j], acc[j]);
-                }
-                p += 1;
-            }
-        }
-        epilogue(i, &mut acc);
-        orow.copy_from_slice(&acc);
-    }
-}
-
-/// Row-partitioned parallel `out += a · b`. Each worker owns a disjoint
-/// band of output rows and runs the serial kernel on it, so the result
-/// is bitwise-identical to [`gemm_serial`].
-pub(crate) fn gemm_parallel(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    gemm_parallel_with(Backend::active(), a, b, out, m, k, n)
-}
-
-/// [`gemm_parallel`] on an explicit backend (each band runs the serial
-/// kernel for that backend, so results stay bitwise-identical).
-pub(crate) fn gemm_parallel_with(
-    backend: Backend,
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    let threads = hardware_threads().min(m).max(1);
-    // Empty output: nothing to do (and `chunks_mut(0)` would panic).
+    let threads = if parallel {
+        hardware_threads().min(m)
+    } else {
+        1
+    };
+    // Empty output: nothing to split (and `chunks_mut(0)` would panic).
     if out.is_empty() || threads < 2 {
-        return gemm_serial_with(backend, a, b, out, m, k, n);
+        return band(0, m, out);
     }
     let rows_per = m.div_ceil(threads);
+    let band = &band;
     std::thread::scope(|s| {
         for (ti, ochunk) in out.chunks_mut(rows_per * n).enumerate() {
-            let i0 = ti * rows_per;
-            let rows = ochunk.len() / n;
-            let aband = &a[i0 * k..(i0 + rows) * k];
-            s.spawn(move || gemm_serial_with(backend, aband, b, ochunk, rows, k, n));
+            s.spawn(move || band(ti * rows_per, ochunk.len() / n, ochunk));
         }
     });
 }
 
-pub(crate) fn gemm(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    gemm_with(Backend::active(), a, b, out, m, k, n)
-}
-
-/// Auto serial/parallel `out += a · b` on an explicit backend.
-pub(crate) fn gemm_with(
-    backend: Backend,
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    if n != 1 && use_parallel(m, k, n) {
-        gemm_parallel_with(backend, a, b, out, m, k, n);
-    } else {
-        gemm_serial_with(backend, a, b, out, m, k, n);
+/// The GEMM drivers: one implementation for every backend, calling the
+/// table's row kernels. Above the `CIRGPS_PAR_MACS` threshold the output
+/// rows are split across threads; the result is bitwise-equal either way.
+impl Kernels {
+    /// `out += a · b` for row-major `a (m×k)`, `b (k×n)`, `out (m×n)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an operand's length does not match its shape.
+    pub fn gemm(&self, a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+        assert_eq!(a.len(), m * k, "a length");
+        assert_eq!(b.len(), k * n, "b length");
+        assert_eq!(out.len(), m * n, "out length");
+        self.gemm_banded(n != 1 && use_parallel(m, k, n), a, b, out, m, k, n);
     }
-}
 
-/// Band kernel shared by the serial and parallel `aᵀ · b` paths: updates
-/// output rows `[i0, i0 + rows)` with the accumulation unrolled over four
-/// k-steps. Sharing one kernel keeps both paths bitwise-identical.
-#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
-#[allow(clippy::too_many_arguments)]
-fn atb_band(
-    backend: Backend,
-    a: &[f32],
-    b: &[f32],
-    oband: &mut [f32],
-    i0: usize,
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    #[cfg(target_arch = "x86_64")]
-    if backend != Backend::Scalar {
-        // SAFETY: non-scalar backends imply a successful AVX2+FMA probe;
-        // AVX-512 reuses the AVX2 band kernel (same 8-lane j sweep).
-        return unsafe { crate::simd::avx2::atb_band(a, b, oband, i0, m, k, n) };
-    }
-    let rows = oband.len().checked_div(n).unwrap_or(0);
-    let mut p = 0;
-    while p + 4 <= k {
-        let b0 = &b[p * n..p * n + n];
-        let b1 = &b[(p + 1) * n..(p + 1) * n + n];
-        let b2 = &b[(p + 2) * n..(p + 2) * n + n];
-        let b3 = &b[(p + 3) * n..(p + 3) * n + n];
-        for i in 0..rows {
-            let a0 = a[p * m + i0 + i];
-            let a1 = a[(p + 1) * m + i0 + i];
-            let a2 = a[(p + 2) * m + i0 + i];
-            let a3 = a[(p + 3) * m + i0 + i];
-            let orow = &mut oband[i * n..i * n + n];
-            for ((((o, &v0), &v1), &v2), &v3) in orow.iter_mut().zip(b0).zip(b1).zip(b2).zip(b3) {
-                let t = a1.mul_add(v1, a0.mul_add(v0, *o));
-                *o = a3.mul_add(v3, a2.mul_add(v2, t));
+    /// [`Kernels::gemm`] with the threading choice made by the caller.
+    /// A column-vector RHS (`n == 1`, e.g. the d→1 output heads) takes
+    /// one 8-lane `dot` per output element on every backend and path;
+    /// the AXPY kernels would make k width-1 passes.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn gemm_banded(
+        &self,
+        parallel: bool,
+        a: &[f32],
+        b: &[f32],
+        out: &mut [f32],
+        m: usize,
+        k: usize,
+        n: usize,
+    ) {
+        row_bands(parallel, out, m, n, |i0, rows, o| {
+            let a = &a[i0 * k..(i0 + rows) * k];
+            if n == 1 {
+                for (i, o) in o.iter_mut().enumerate() {
+                    *o += (self.dot)(&a[i * k..(i + 1) * k], b);
+                }
+            } else {
+                (self.gemm_rows)(a, b, o, rows, k, n);
             }
-        }
-        p += 4;
+        });
     }
-    while p < k {
-        let brow = &b[p * n..p * n + n];
-        for i in 0..rows {
-            let av = a[p * m + i0 + i];
-            let orow = &mut oband[i * n..i * n + n];
-            for (o, &bv) in orow.iter_mut().zip(brow) {
-                *o = av.mul_add(bv, *o);
+
+    /// `out += aᵀ · b` for row-major `a (k×m)`, `b (k×n)`, `out (m×n)`,
+    /// without materializing the transpose.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an operand's length does not match its shape.
+    pub fn gemm_atb(&self, a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+        assert_eq!(a.len(), k * m, "a length");
+        assert_eq!(b.len(), k * n, "b length");
+        assert_eq!(out.len(), m * n, "out length");
+        self.gemm_atb_banded(use_parallel(m, k, n), a, b, out, m, k, n);
+    }
+
+    /// [`Kernels::gemm_atb`] with the threading choice made by the
+    /// caller: bands of output rows (columns of `a`) run the same band
+    /// kernel.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn gemm_atb_banded(
+        &self,
+        parallel: bool,
+        a: &[f32],
+        b: &[f32],
+        out: &mut [f32],
+        m: usize,
+        k: usize,
+        n: usize,
+    ) {
+        row_bands(parallel, out, m, n, |i0, _, o| {
+            (self.atb_band)(a, b, o, i0, m, k, n)
+        });
+    }
+
+    /// `out += a · bᵀ` for row-major `a (m×k)`, `b (n×k)`, `out (m×n)`:
+    /// every output element is one 8-lane `dot`, so the reduction order
+    /// is backend-invariant.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an operand's length does not match its shape.
+    pub fn gemm_abt(&self, a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+        assert_eq!(a.len(), m * k, "a length");
+        assert_eq!(b.len(), n * k, "b length");
+        assert_eq!(out.len(), m * n, "out length");
+        self.gemm_abt_banded(use_parallel(m, k, n), a, b, out, m, k, n);
+    }
+
+    /// [`Kernels::gemm_abt`] with the threading choice made by the caller.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn gemm_abt_banded(
+        &self,
+        parallel: bool,
+        a: &[f32],
+        b: &[f32],
+        out: &mut [f32],
+        m: usize,
+        k: usize,
+        n: usize,
+    ) {
+        row_bands(parallel, out, m, n, |i0, rows, o| {
+            for i in 0..rows {
+                let arow = &a[(i0 + i) * k..(i0 + i + 1) * k];
+                for (j, x) in o[i * n..(i + 1) * n].iter_mut().enumerate() {
+                    *x += (self.dot)(arow, &b[j * k..(j + 1) * k]);
+                }
             }
-        }
-        p += 1;
-    }
-}
-
-/// `out += aᵀ · b` for row-major `a (k×m)`, `b (k×n)`, `out (m×n)`,
-/// without materializing the transpose, on an explicit backend.
-pub(crate) fn gemm_atb_serial_with(
-    backend: Backend,
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    debug_assert_eq!(a.len(), k * m);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(out.len(), m * n);
-    atb_band(backend, a, b, out, 0, m, k, n);
-}
-
-/// Parallel `out += aᵀ · b` on an explicit backend: workers own disjoint
-/// output-row bands (columns of `a`) and run the same band kernel, so
-/// results match [`gemm_atb_serial_with`] bitwise.
-pub(crate) fn gemm_atb_parallel_with(
-    backend: Backend,
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    let threads = hardware_threads().min(m).max(1);
-    if out.is_empty() || threads < 2 {
-        return gemm_atb_serial_with(backend, a, b, out, m, k, n);
-    }
-    let rows_per = m.div_ceil(threads);
-    std::thread::scope(|s| {
-        for (ti, ochunk) in out.chunks_mut(rows_per * n).enumerate() {
-            let i0 = ti * rows_per;
-            s.spawn(move || atb_band(backend, a, b, ochunk, i0, m, k, n));
-        }
-    });
-}
-
-pub(crate) fn gemm_atb(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    gemm_atb_with(Backend::active(), a, b, out, m, k, n)
-}
-
-/// Auto serial/parallel `out += aᵀ · b` on an explicit backend.
-pub(crate) fn gemm_atb_with(
-    backend: Backend,
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    if use_parallel(m, k, n) {
-        gemm_atb_parallel_with(backend, a, b, out, m, k, n);
-    } else {
-        gemm_atb_serial_with(backend, a, b, out, m, k, n);
-    }
-}
-
-/// Eight-lane unrolled dot product on an explicit backend. The lane
-/// split breaks the serial floating-point dependency chain so the scalar
-/// path vectorizes; every backend keeps the same 8-lane split and
-/// reduction tree (AVX-512 reuses the 8-lane AVX2 kernel), so the
-/// summation order — hence the result — never changes.
-#[inline]
-#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
-pub(crate) fn dot_with(backend: Backend, x: &[f32], y: &[f32]) -> f32 {
-    #[cfg(target_arch = "x86_64")]
-    if backend != Backend::Scalar {
-        // SAFETY: non-scalar backends imply a successful AVX2+FMA probe.
-        return unsafe { crate::simd::avx2::dot(x, y) };
-    }
-    let mut lanes = [0.0f32; 8];
-    let mut xc = x.chunks_exact(8);
-    let mut yc = y.chunks_exact(8);
-    for (cx, cy) in (&mut xc).zip(&mut yc) {
-        for l in 0..8 {
-            lanes[l] = cx[l].mul_add(cy[l], lanes[l]);
-        }
-    }
-    let mut tail = 0.0f32;
-    for (&a, &b) in xc.remainder().iter().zip(yc.remainder()) {
-        tail = a.mul_add(b, tail);
-    }
-    let s0 = (lanes[0] + lanes[4]) + (lanes[1] + lanes[5]);
-    let s1 = (lanes[2] + lanes[6]) + (lanes[3] + lanes[7]);
-    (s0 + s1) + tail
-}
-
-/// Eight-lane unrolled sum with exactly [`dot_with`]'s summation tree:
-/// equals `dot(x, ones)` bitwise (multiplying by 1.0 is exact), letting
-/// callers skip materializing an all-ones vector. Keep in sync with
-/// [`dot_with`].
-pub(crate) fn laned_sum(x: &[f32]) -> f32 {
-    laned_sum_with(Backend::active(), x)
-}
-
-/// [`laned_sum`] on an explicit backend (same tree on every backend).
-#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
-pub(crate) fn laned_sum_with(backend: Backend, x: &[f32]) -> f32 {
-    #[cfg(target_arch = "x86_64")]
-    if backend != Backend::Scalar {
-        // SAFETY: non-scalar backends imply a successful AVX2+FMA probe.
-        return unsafe { crate::simd::avx2::laned_sum(x) };
-    }
-    let mut lanes = [0.0f32; 8];
-    let mut xc = x.chunks_exact(8);
-    for cx in &mut xc {
-        for l in 0..8 {
-            lanes[l] += cx[l];
-        }
-    }
-    let mut tail = 0.0f32;
-    for &a in xc.remainder() {
-        tail += a;
-    }
-    let s0 = (lanes[0] + lanes[4]) + (lanes[1] + lanes[5]);
-    let s1 = (lanes[2] + lanes[6]) + (lanes[3] + lanes[7]);
-    (s0 + s1) + tail
-}
-
-/// `out += a · bᵀ` for row-major `a (m×k)`, `b (n×k)`, `out (m×n)` on an
-/// explicit backend: every output element is one [`dot_with`], so the
-/// reduction order is backend-invariant.
-pub(crate) fn gemm_abt_serial_with(
-    backend: Backend,
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), n * k);
-    debug_assert_eq!(out.len(), m * n);
-    for i in 0..m {
-        let arow = &a[i * k..(i + 1) * k];
-        let orow = &mut out[i * n..(i + 1) * n];
-        for (j, o) in orow.iter_mut().enumerate() {
-            *o += dot_with(backend, arow, &b[j * k..(j + 1) * k]);
-        }
-    }
-}
-
-/// Row-partitioned parallel `out += a · bᵀ` on an explicit backend;
-/// bitwise-equal to [`gemm_abt_serial_with`] because each element is one
-/// dot product.
-pub(crate) fn gemm_abt_parallel_with(
-    backend: Backend,
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    let threads = hardware_threads().min(m).max(1);
-    if out.is_empty() || threads < 2 {
-        return gemm_abt_serial_with(backend, a, b, out, m, k, n);
-    }
-    let rows_per = m.div_ceil(threads);
-    std::thread::scope(|s| {
-        for (ti, ochunk) in out.chunks_mut(rows_per * n).enumerate() {
-            let i0 = ti * rows_per;
-            let rows = ochunk.len() / n;
-            let aband = &a[i0 * k..(i0 + rows) * k];
-            s.spawn(move || gemm_abt_serial_with(backend, aband, b, ochunk, rows, k, n));
-        }
-    });
-}
-
-pub(crate) fn gemm_abt(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    gemm_abt_with(Backend::active(), a, b, out, m, k, n)
-}
-
-/// Auto serial/parallel `out += a · bᵀ` on an explicit backend.
-pub(crate) fn gemm_abt_with(
-    backend: Backend,
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    if use_parallel(m, k, n) {
-        gemm_abt_parallel_with(backend, a, b, out, m, k, n);
-    } else {
-        gemm_abt_serial_with(backend, a, b, out, m, k, n);
+        });
     }
 }
 
@@ -856,7 +474,7 @@ impl Tensor {
         self.check_matmul(rhs);
         let (m, k, n) = (self.rows, self.cols, rhs.cols);
         let mut out = pool::take_zeroed(m * n);
-        gemm(&self.data, &rhs.data, &mut out, m, k, n);
+        Kernels::active().gemm(&self.data, &rhs.data, &mut out, m, k, n);
         Tensor {
             rows: m,
             cols: n,
@@ -872,7 +490,7 @@ impl Tensor {
         self.check_matmul(rhs);
         let (m, k, n) = (self.rows, self.cols, rhs.cols);
         let mut out = pool::take_zeroed(m * n);
-        gemm_serial(&self.data, &rhs.data, &mut out, m, k, n);
+        Kernels::active().gemm_banded(false, &self.data, &rhs.data, &mut out, m, k, n);
         Tensor {
             rows: m,
             cols: n,
@@ -886,7 +504,7 @@ impl Tensor {
         self.check_matmul(rhs);
         let (m, k, n) = (self.rows, self.cols, rhs.cols);
         let mut out = pool::take_zeroed(m * n);
-        gemm_parallel(&self.data, &rhs.data, &mut out, m, k, n);
+        Kernels::active().gemm_banded(true, &self.data, &rhs.data, &mut out, m, k, n);
         Tensor {
             rows: m,
             cols: n,
@@ -899,7 +517,7 @@ impl Tensor {
         assert_eq!(self.rows, rhs.rows, "t_matmul shape mismatch");
         let (m, k, n) = (self.cols, self.rows, rhs.cols);
         let mut out = pool::take_zeroed(m * n);
-        gemm_atb(&self.data, &rhs.data, &mut out, m, k, n);
+        Kernels::active().gemm_atb(&self.data, &rhs.data, &mut out, m, k, n);
         Tensor {
             rows: m,
             cols: n,
@@ -912,7 +530,7 @@ impl Tensor {
         assert_eq!(self.cols, rhs.cols, "matmul_t shape mismatch");
         let (m, k, n) = (self.rows, self.cols, rhs.rows);
         let mut out = pool::take_zeroed(m * n);
-        gemm_abt(&self.data, &rhs.data, &mut out, m, k, n);
+        Kernels::active().gemm_abt(&self.data, &rhs.data, &mut out, m, k, n);
         Tensor {
             rows: m,
             cols: n,
@@ -1136,9 +754,9 @@ mod tests {
             37,
             (0..k * 37).map(|i| (i as f32 * 0.093).sin()).collect(),
         );
-        let be = Backend::active();
-        gemm_atb_serial_with(
-            be,
+        let kn = crate::Backend::active().kernels();
+        kn.gemm_atb_banded(
+            false,
             at.as_slice(),
             b.as_slice(),
             &mut o1[..37 * 19],
@@ -1146,8 +764,8 @@ mod tests {
             k,
             19,
         );
-        gemm_atb_parallel_with(
-            be,
+        kn.gemm_atb_banded(
+            true,
             at.as_slice(),
             b.as_slice(),
             &mut o2[..37 * 19],
@@ -1164,8 +782,8 @@ mod tests {
         );
         let mut o3 = vec![0.0f32; 37 * 19];
         let mut o4 = vec![0.0f32; 37 * 19];
-        gemm_abt_serial_with(be, a.as_slice(), bt.as_slice(), &mut o3, 37, k, 19);
-        gemm_abt_parallel_with(be, a.as_slice(), bt.as_slice(), &mut o4, 37, k, 19);
+        kn.gemm_abt_banded(false, a.as_slice(), bt.as_slice(), &mut o3, 37, k, 19);
+        kn.gemm_abt_banded(true, a.as_slice(), bt.as_slice(), &mut o4, 37, k, 19);
         assert_eq!(o3, o4);
     }
 

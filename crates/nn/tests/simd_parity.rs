@@ -14,7 +14,6 @@
 //! `[Scalar]` and the tests check self-consistency only; CI runs the
 //! matrix on AVX2 hosts (see `.github/workflows/ci.yml`).
 
-use cirgps_nn::simd::ops;
 use cirgps_nn::{Backend, QuantMatrix, Tensor};
 use proptest::prelude::*;
 
@@ -80,24 +79,24 @@ proptest! {
         for backend in backends() {
             let mut scalar = vec![0.0f32; m * n];
             let mut simd = vec![0.0f32; m * n];
-            ops::gemm(Backend::Scalar, &a, &b, &mut scalar, m, k, n);
-            ops::gemm(backend, &a, &b, &mut simd, m, k, n);
+            Backend::Scalar.kernels().gemm(&a, &b, &mut scalar, m, k, n);
+            backend.kernels().gemm(&a, &b, &mut simd, m, k, n);
             assert_bitwise("gemm", backend, &scalar, &simd);
 
             // aᵀ·b: a stored k×m.
             let at = fill(k * m, seed ^ 0x1111);
             let mut scalar = vec![0.0f32; m * n];
             let mut simd = vec![0.0f32; m * n];
-            ops::gemm_atb(Backend::Scalar, &at, &b, &mut scalar, m, k, n);
-            ops::gemm_atb(backend, &at, &b, &mut simd, m, k, n);
+            Backend::Scalar.kernels().gemm_atb(&at, &b, &mut scalar, m, k, n);
+            backend.kernels().gemm_atb(&at, &b, &mut simd, m, k, n);
             assert_bitwise("gemm_atb", backend, &scalar, &simd);
 
             // a·bᵀ: b stored n×k.
             let bt = fill(n * k, seed ^ 0x2222);
             let mut scalar = vec![0.0f32; m * n];
             let mut simd = vec![0.0f32; m * n];
-            ops::gemm_abt(Backend::Scalar, &a, &bt, &mut scalar, m, k, n);
-            ops::gemm_abt(backend, &a, &bt, &mut simd, m, k, n);
+            Backend::Scalar.kernels().gemm_abt(&a, &bt, &mut scalar, m, k, n);
+            backend.kernels().gemm_abt(&a, &bt, &mut simd, m, k, n);
             assert_bitwise("gemm_abt", backend, &scalar, &simd);
         }
     }
@@ -115,9 +114,9 @@ proptest! {
         let a = fill(m * k, seed);
 
         let mut exact = vec![0.0f32; m * n];
-        ops::gemm(Backend::Scalar, &a, w.as_slice(), &mut exact, m, k, n);
+        Backend::Scalar.kernels().gemm(&a, w.as_slice(), &mut exact, m, k, n);
         let mut rounded = vec![0.0f32; m * n];
-        ops::gemm(Backend::Scalar, &a, q.dequantize().as_slice(), &mut rounded, m, k, n);
+        Backend::Scalar.kernels().gemm(&a, q.dequantize().as_slice(), &mut rounded, m, k, n);
 
         for i in 0..m {
             let row_l1: f32 = a[i * k..(i + 1) * k].iter().map(|v| v.abs()).sum();
@@ -142,38 +141,38 @@ proptest! {
         let y = fill(len, seed ^ 0x3c3c);
         for backend in backends() {
             assert_eq!(
-                ops::dot(Backend::Scalar, &x, &y).to_bits(),
-                ops::dot(backend, &x, &y).to_bits(),
+                Backend::Scalar.kernels().dot(&x, &y).to_bits(),
+                backend.kernels().dot(&x, &y).to_bits(),
                 "dot vs {backend}"
             );
             assert_eq!(
-                ops::laned_sum(Backend::Scalar, &x).to_bits(),
-                ops::laned_sum(backend, &x).to_bits(),
+                Backend::Scalar.kernels().laned_sum(&x).to_bits(),
+                backend.kernels().laned_sum(&x).to_bits(),
                 "laned_sum vs {backend}"
             );
 
             let mut s = x.clone();
             let mut v = x.clone();
-            ops::relu_sweep(Backend::Scalar, &mut s);
-            ops::relu_sweep(backend, &mut v);
+            Backend::Scalar.kernels().relu_sweep(&mut s);
+            backend.kernels().relu_sweep(&mut v);
             assert_bitwise("relu_sweep", backend, &s, &v);
 
             let mut s = x.clone();
             let mut v = x.clone();
-            ops::exp_sweep(Backend::Scalar, &mut s);
-            ops::exp_sweep(backend, &mut v);
+            Backend::Scalar.kernels().exp_sweep(&mut s);
+            backend.kernels().exp_sweep(&mut v);
             assert_bitwise("exp_sweep", backend, &s, &v);
 
             let mut s = x.clone();
             let mut v = x.clone();
-            ops::sigmoid_sweep(Backend::Scalar, &mut s);
-            ops::sigmoid_sweep(backend, &mut v);
+            Backend::Scalar.kernels().sigmoid_sweep(&mut s);
+            backend.kernels().sigmoid_sweep(&mut v);
             assert_bitwise("sigmoid_sweep", backend, &s, &v);
 
             let mut s = x.clone();
             let mut v = x.clone();
-            ops::scale_sweep(Backend::Scalar, &mut s, 0.37);
-            ops::scale_sweep(backend, &mut v, 0.37);
+            Backend::Scalar.kernels().scale_sweep(&mut s, 0.37);
+            backend.kernels().scale_sweep(&mut v, 0.37);
             assert_bitwise("scale_sweep", backend, &s, &v);
         }
     }
@@ -198,24 +197,22 @@ proptest! {
         let eps = 1e-5;
 
         for backend in backends() {
-            let s = ops::softmax_rows(Backend::Scalar, &x, 0.5);
-            let v = ops::softmax_rows(backend, &x, 0.5);
+            let s = Backend::Scalar.kernels().softmax_rows(&x, 0.5);
+            let v = backend.kernels().softmax_rows(&x, 0.5);
             assert_bitwise("softmax_rows", backend, s.as_slice(), v.as_slice());
 
-            let s = ops::batch_norm(Backend::Scalar, &x, &gamma, &beta, eps, &mean, &var);
-            let v = ops::batch_norm(backend, &x, &gamma, &beta, eps, &mean, &var);
+            let s = Backend::Scalar.kernels().batch_norm(&x, &gamma, &beta, eps, &mean, &var);
+            let v = backend.kernels().batch_norm(&x, &gamma, &beta, eps, &mean, &var);
             assert_bitwise("batch_norm", backend, s.as_slice(), v.as_slice());
 
-            let s = ops::batch_norm_relu_add(
-                Backend::Scalar, &x, &gamma, &beta, eps, &mean, &var, &residual,
+            let s = Backend::Scalar.kernels().batch_norm_relu_add(&x, &gamma, &beta, eps, &mean, &var, &residual,
             );
-            let v = ops::batch_norm_relu_add(
-                backend, &x, &gamma, &beta, eps, &mean, &var, &residual,
+            let v = backend.kernels().batch_norm_relu_add(&x, &gamma, &beta, eps, &mean, &var, &residual,
             );
             assert_bitwise("batch_norm_relu_add", backend, s.as_slice(), v.as_slice());
 
-            let s = ops::batch_norm_of_sum(Backend::Scalar, &x, &b2, &gamma, &beta, eps, &mean, &var);
-            let v = ops::batch_norm_of_sum(backend, &x, &b2, &gamma, &beta, eps, &mean, &var);
+            let s = Backend::Scalar.kernels().batch_norm_of_sum(&x, &b2, &gamma, &beta, eps, &mean, &var);
+            let v = backend.kernels().batch_norm_of_sum(&x, &b2, &gamma, &beta, eps, &mean, &var);
             assert_bitwise("batch_norm_of_sum", backend, s.as_slice(), v.as_slice());
         }
     }
@@ -234,15 +231,15 @@ proptest! {
             .map(|i| (i.wrapping_mul(13) ^ (seed as usize >> 3)) % nodes)
             .collect();
 
-        let (num_s, den_s) = ops::gated_scatter(Backend::Scalar, &e_hat, &bx, &src, &dst, nodes);
+        let (num_s, den_s) = Backend::Scalar.kernels().gated_scatter(&e_hat, &bx, &src, &dst, nodes);
         for backend in backends() {
-            let (num_v, den_v) = ops::gated_scatter(backend, &e_hat, &bx, &src, &dst, nodes);
+            let (num_v, den_v) = backend.kernels().gated_scatter(&e_hat, &bx, &src, &dst, nodes);
             assert_bitwise("gated_scatter num", backend, num_s.as_slice(), num_v.as_slice());
             assert_bitwise("gated_scatter den", backend, den_s.as_slice(), den_v.as_slice());
 
             let ax = tensor(nodes, cols, seed ^ 0x8888);
-            let s = ops::add_div(Backend::Scalar, ax.clone(), &num_s, &den_s, 1e-6);
-            let v = ops::add_div(backend, ax, &num_s, &den_s, 1e-6);
+            let s = Backend::Scalar.kernels().add_div(ax.clone(), &num_s, &den_s, 1e-6);
+            let v = backend.kernels().add_div(ax, &num_s, &den_s, 1e-6);
             assert_bitwise("add_div", backend, s.as_slice(), v.as_slice());
         }
     }
@@ -254,9 +251,9 @@ proptest! {
     ) {
         let xs = tensor(rows, dim, seed);
         let omega_t = tensor(dim, features, seed ^ 0x6e6e);
-        let s = ops::performer_feature_map(Backend::Scalar, &xs, &omega_t, features);
+        let s = Backend::Scalar.kernels().performer_feature_map(&xs, &omega_t, features);
         for backend in backends() {
-            let v = ops::performer_feature_map(backend, &xs, &omega_t, features);
+            let v = backend.kernels().performer_feature_map(&xs, &omega_t, features);
             assert_bitwise("performer_feature_map", backend, s.as_slice(), v.as_slice());
         }
     }
@@ -300,8 +297,8 @@ fn quant_blob_bytes_are_golden_stable() {
 }
 
 /// Env-forced backends and in-process comparisons must agree: whatever
-/// `Backend::active()` latched, re-running a kernel through the explicit
-/// `ops` surface with that same backend reproduces the implicit path.
+/// `Backend::active()` latched, re-running a kernel through that
+/// backend's explicit table reproduces the implicit path.
 #[test]
 fn active_backend_matches_explicit_dispatch() {
     let active = Backend::active();
@@ -310,11 +307,43 @@ fn active_backend_matches_explicit_dispatch() {
     let b = tensor(17, 24, 8);
     let implicit = a.matmul(&b);
     let mut explicit = vec![0.0f32; 3 * 24];
-    ops::gemm(active, a.as_slice(), b.as_slice(), &mut explicit, 3, 17, 24);
+    active
+        .kernels()
+        .gemm(a.as_slice(), b.as_slice(), &mut explicit, 3, 17, 24);
     assert_bitwise(
-        "matmul vs ops::gemm",
+        "matmul vs kernels().gemm",
         active,
         implicit.as_slice(),
         &explicit,
     );
+}
+
+// The table's public drivers check caller-supplied shapes and indices
+// before any kernel runs.
+
+#[test]
+#[should_panic(expected = "a length")]
+fn gemm_rejects_an_operand_whose_length_is_not_m_times_k() {
+    let mut out = vec![0.0f32; 2 * 3];
+    Backend::active()
+        .kernels()
+        .gemm(&fill(2 * 4 - 1, 1), &fill(4 * 3, 2), &mut out, 2, 4, 3);
+}
+
+#[test]
+#[should_panic(expected = "dst index out of range")]
+fn gated_scatter_rejects_a_dst_index_past_n_out() {
+    let e_hat = tensor(2, 8, 3);
+    let bx = tensor(3, 8, 4);
+    let _ = Backend::active()
+        .kernels()
+        .gated_scatter(&e_hat, &bx, &[0, 1], &[1, 3], 3);
+}
+
+#[test]
+#[should_panic(expected = "softmax scale must be positive")]
+fn softmax_rows_rejects_a_non_positive_scale() {
+    let _ = Backend::active()
+        .kernels()
+        .softmax_rows(&tensor(2, 5, 5), 0.0);
 }

@@ -252,7 +252,7 @@ pub(crate) fn response_bytes(
     wire
 }
 
-/// Writes one fixed-length response (see [`response_bytes`]) with a
+/// Writes one fixed-length response (see `response_bytes`) with a
 /// single `write_all`. Separate small writes for the head and the body
 /// would let Nagle's algorithm hold the body back until the client's
 /// delayed ACK, adding tens of milliseconds to every keep-alive reply.

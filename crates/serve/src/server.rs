@@ -848,7 +848,6 @@ impl Server {
             sampler: self.cfg.sampler,
             chunk,
             threads: 1,
-            dedup: true,
         };
         let label = match task {
             SweepTask::Link => "prob",

@@ -203,7 +203,7 @@ USAGE:
   cirgps sweep  --netlist FILE.sp --top NAME [--model FILE.ckpt]
                 [--task link|cap] [--pairs FILE] [--per-node-cap N]
                 [--max-pairs N] [--chunk N] [--threads N]
-                [--format jsonl|csv] [--out FILE] [--no-dedup]
+                [--format jsonl|csv] [--out FILE]
       Plan and execute a full-chip sweep: score *every* candidate pair
       of the design (or an explicit pair list) as one batched job with
       shared subgraph extraction and neighborhood deduplication,
@@ -227,8 +227,6 @@ USAGE:
                           output format (default jsonl, same fields as
                           `cirgps predict` minus the dataset label)
         --out FILE        write results there instead of stdout
-        --no-dedup        disable neighborhood deduplication (for
-                          measurement; results are identical)
       Prints planner statistics (pairs, unique forwards, dedup rate,
       amortized µs/pair) to stderr.
 
@@ -1425,7 +1423,6 @@ fn cmd_sweep(flags: &HashMap<String, String>) -> Result<(), String> {
             "threads",
             "format",
             "out",
-            "no-dedup",
         ],
     )?;
     let netlist = load_netlist(flags)?;
@@ -1468,7 +1465,6 @@ fn cmd_sweep(flags: &HashMap<String, String>) -> Result<(), String> {
         },
         chunk,
         threads,
-        dedup: !flag_bool(flags, "no-dedup")?,
     };
 
     let explicit = match flags.get("pairs") {

@@ -635,13 +635,6 @@ fn cli_serve_boots_and_answers_queries() {
     assert!(out.status.success());
     let sp = format!("{dir_s}/TIMING_CONTROL.sp");
 
-    // Pick a free port (bind then drop; races are unlikely and would
-    // only fail this test, not the daemon).
-    let port = {
-        let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        l.local_addr().unwrap().port()
-    };
-    let addr = format!("127.0.0.1:{port}");
     let mut daemon = cirgps()
         .args([
             "serve",
@@ -650,7 +643,7 @@ fn cli_serve_boots_and_answers_queries() {
             "--top",
             "TIMING_CONTROL",
             "--addr",
-            &addr,
+            "127.0.0.1:0",
             "--workers",
             "1",
             "--max-wait-us",
@@ -662,6 +655,7 @@ fn cli_serve_boots_and_answers_queries() {
 
     // Wait for the listener, then query /healthz and /v1/predict.
     let result = (|| -> Result<(), String> {
+        let addr = bound_addr(&mut daemon)?;
         let mut stream = None;
         for _ in 0..100 {
             match std::net::TcpStream::connect(&addr) {
@@ -724,6 +718,26 @@ fn cli_serve_boots_and_answers_queries() {
     result.unwrap();
 }
 
+/// Returns the address a `serve --addr 127.0.0.1:0` daemon bound, read
+/// from its `… on http://ADDR …` stderr banner. The OS picks the port at
+/// bind time, so no other test's daemon can take it first. A background
+/// thread keeps draining stderr so the daemon never blocks on a full pipe.
+fn bound_addr(daemon: &mut std::process::Child) -> Result<String, String> {
+    use std::io::{BufRead, BufReader};
+    let stderr = daemon.stderr.take().ok_or("daemon stderr is not piped")?;
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        for line in BufReader::new(stderr).lines().map_while(Result::ok) {
+            if let Some(rest) = line.split(" on http://").nth(1) {
+                let addr = rest.split_whitespace().next().unwrap_or_default();
+                let _ = tx.send(addr.to_string());
+            }
+        }
+    });
+    rx.recv_timeout(std::time::Duration::from_secs(60))
+        .map_err(|_| "daemon never announced its listen address".to_string())
+}
+
 /// SIMD backends this host can run, as `CIRGPS_FORCE_BACKEND` values. Scalar is
 /// always first; the cross-backend assertions are vacuous (self vs
 /// self) on hosts with nothing wider, and CI pins an AVX2 runner.
@@ -747,11 +761,6 @@ fn host_backends() -> Vec<&'static str> {
 /// compared on these bytes.
 fn serve_once(sp: &str, backend: &str) -> String {
     use std::io::{BufRead, BufReader, Read, Write};
-    let port = {
-        let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        l.local_addr().unwrap().port()
-    };
-    let addr = format!("127.0.0.1:{port}");
     let args = [
         "serve",
         "--netlist",
@@ -759,7 +768,7 @@ fn serve_once(sp: &str, backend: &str) -> String {
         "--top",
         "TIMING_CONTROL",
         "--addr",
-        &addr,
+        "127.0.0.1:0",
         "--workers",
         "1",
         "--max-wait-us",
@@ -772,6 +781,7 @@ fn serve_once(sp: &str, backend: &str) -> String {
         .spawn()
         .expect("spawn serve");
     let result = (|| -> Result<String, String> {
+        let addr = bound_addr(&mut daemon)?;
         let mut connected = false;
         for _ in 0..100 {
             if std::net::TcpStream::connect(&addr).is_ok() {
