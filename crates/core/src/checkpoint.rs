@@ -23,12 +23,9 @@
 //! ([`TRAIN_STATE_SECTION`]) — without burdening readers that only want
 //! the model.
 //!
-//! Version 1 files (no length/footer, no sections) still load, as does
-//! the pre-container format (magic `CGPS`, a raw [`ParamStore`] dump
-//! with no config): [`CircuitGps::load_checkpoint`] falls back to
-//! constructing a [`ModelConfig::default`] model, exactly as old callers
-//! did by hand, and reports the file as [`CheckpointFormat::Legacy`] so
-//! front ends can warn.
+//! Version 1 files (no length/footer, no sections) still load. The
+//! pre-container raw [`ParamStore`] dump (magic `CGPS`, no config) is
+//! retired: reading one fails with [`CheckpointError::RawDump`].
 //!
 //! [`ParamStore`]: cirgps_nn::ParamStore
 
@@ -43,8 +40,6 @@ use crate::model::CircuitGps;
 
 /// Container magic for the self-describing checkpoint format.
 pub const CHECKPOINT_MAGIC: &[u8; 4] = b"CGPC";
-/// Magic of the legacy raw parameter dump (no embedded config).
-pub const LEGACY_MAGIC: &[u8; 4] = b"CGPS";
 /// Highest container version this build can read and the version it
 /// writes.
 pub const CHECKPOINT_VERSION: u32 = 2;
@@ -71,10 +66,6 @@ pub enum CheckpointFormat {
     /// The current container: embedded [`ModelConfig`], named optional
     /// sections, and a CRC32 integrity footer over the whole file.
     V2,
-    /// The pre-container raw weight dump; the model configuration is
-    /// assumed to be [`ModelConfig::default`]. Deprecated — re-save with
-    /// [`CircuitGps::save_checkpoint`] to embed the config.
-    Legacy,
 }
 
 /// Why reading or writing a checkpoint failed. Every variant names the
@@ -84,9 +75,11 @@ pub enum CheckpointFormat {
 pub enum CheckpointError {
     /// Underlying reader/writer failed (or the file was truncated).
     Io(io::Error),
-    /// The first four bytes are neither [`CHECKPOINT_MAGIC`] nor the
-    /// legacy [`LEGACY_MAGIC`].
+    /// The first four bytes are not [`CHECKPOINT_MAGIC`].
     BadMagic([u8; 4]),
+    /// The file is a retired pre-container raw weight dump (magic
+    /// `CGPS`, no embedded config), which this build no longer reads.
+    RawDump,
     /// The container version is newer than this build understands.
     UnsupportedVersion {
         /// Version recorded in the file.
@@ -118,9 +111,15 @@ impl std::fmt::Display for CheckpointError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             CheckpointError::Io(e) => write!(f, "checkpoint I/O: {e}"),
-            CheckpointError::BadMagic(m) => write!(
+            CheckpointError::BadMagic(m) => {
+                write!(f, "bad checkpoint magic {m:?} (expected \"CGPC\")")
+            }
+            CheckpointError::RawDump => write!(
                 f,
-                "bad checkpoint magic {m:?} (expected \"CGPC\" or legacy \"CGPS\")"
+                "raw weight dump (magic \"CGPS\", no embedded config): raw dumps are no \
+                 longer read. Migrate by loading it with an older cirgps build and \
+                 re-saving it as a self-describing checkpoint (`save_checkpoint`), or \
+                 retrain with `cirgps pretrain`/`finetune` (docs/checkpoint-format.md)"
             ),
             CheckpointError::UnsupportedVersion { found, supported } => write!(
                 f,
@@ -168,11 +167,11 @@ impl From<ParamLoadError> for CheckpointError {
 /// carried. [`CircuitGps::load_checkpoint`] is the model-only shorthand.
 #[derive(Debug)]
 pub struct Checkpoint {
-    /// The model, built from the embedded (or assumed-legacy) config.
+    /// The model, built from the embedded config.
     pub model: CircuitGps,
     /// Which on-disk format the file used.
     pub format: CheckpointFormat,
-    /// Named optional sections (v2 only; empty for v1/legacy files), in
+    /// Named optional sections (v2 only; empty for v1 files), in
     /// file order.
     pub sections: Vec<(String, Vec<u8>)>,
 }
@@ -391,35 +390,25 @@ impl CircuitGps {
         Ok((ck.model, ck.format))
     }
 
-    /// Reads a checkpoint — any supported format — and returns the model
-    /// plus the container's optional sections.
+    /// Reads a checkpoint — any supported container version — and
+    /// returns the model plus the container's optional sections.
     ///
-    /// For the versioned container the model is built from the
-    /// **embedded** config — no flags, no guessing, a non-default
-    /// architecture round-trips by itself. A v2 file's CRC32 footer is
-    /// verified over the raw bytes **before anything is parsed**, so a
-    /// torn or bit-flipped file cannot half-load. For a legacy raw
-    /// weight dump (magic `CGPS`) the model is built with
-    /// [`ModelConfig::default`], which is what every legacy call site
-    /// assumed; the returned [`CheckpointFormat::Legacy`] lets front
-    /// ends print a deprecation warning.
+    /// The model is built from the **embedded** config — no flags, no
+    /// guessing, a non-default architecture round-trips by itself. A v2
+    /// file's CRC32 footer is verified over the raw bytes **before
+    /// anything is parsed**, so a torn or bit-flipped file cannot
+    /// half-load.
     ///
     /// # Errors
     ///
-    /// Returns a named [`CheckpointError`] on bad magic, a
-    /// newer-than-supported version, a checksum mismatch, an invalid
-    /// embedded config, or a parameter name/shape mismatch.
+    /// Returns a named [`CheckpointError`] on bad magic, a retired raw
+    /// weight dump, a newer-than-supported version, a checksum mismatch,
+    /// an invalid embedded config, or a parameter name/shape mismatch.
     pub fn load_checkpoint_full<R: Read>(mut r: R) -> Result<Checkpoint, CheckpointError> {
         let mut magic = [0u8; 4];
         r.read_exact(&mut magic)?;
-        if &magic == LEGACY_MAGIC {
-            let mut model = CircuitGps::new(ModelConfig::default());
-            model.store_mut().load_blob(&mut r)?;
-            return Ok(Checkpoint {
-                model,
-                format: CheckpointFormat::Legacy,
-                sections: Vec::new(),
-            });
+        if &magic == b"CGPS" {
+            return Err(CheckpointError::RawDump);
         }
         if &magic != CHECKPOINT_MAGIC {
             return Err(CheckpointError::BadMagic(magic));
@@ -595,14 +584,14 @@ mod tests {
     }
 
     /// Hand-writes the v1 container layout (magic, version 1, config
-    /// block, param blob — no length, no footer) to prove old files
-    /// still load.
-    fn v1_bytes(model: &CircuitGps) -> Vec<u8> {
+    /// block, param blob — no length, no footer) with `cfg` as the
+    /// embedded config and `model`'s weights as the blob.
+    fn v1_bytes(cfg: &ModelConfig, model: &CircuitGps) -> Vec<u8> {
         let mut bytes = Vec::new();
         bytes.extend_from_slice(CHECKPOINT_MAGIC);
         bytes.extend_from_slice(&1u32.to_le_bytes());
         let mut cfg_block = Vec::new();
-        write_config_fields(&mut cfg_block, &model.cfg).unwrap();
+        write_config_fields(&mut cfg_block, cfg).unwrap();
         write_u64(&mut bytes, cfg_block.len() as u64).unwrap();
         bytes.extend_from_slice(&cfg_block);
         model.store().save_blob(&mut bytes).unwrap();
@@ -630,7 +619,7 @@ mod tests {
         let s = sample();
         let model = CircuitGps::new(non_default_config());
         let want = model.predict_link(&s);
-        let bytes = v1_bytes(&model);
+        let bytes = v1_bytes(&model.cfg, &model);
         let ck = CircuitGps::load_checkpoint_full(&bytes[..]).unwrap();
         assert_eq!(ck.format, CheckpointFormat::V1);
         assert_eq!(ck.model.cfg, model.cfg);
@@ -663,16 +652,20 @@ mod tests {
     }
 
     #[test]
-    fn legacy_dump_still_loads_as_default_config() {
-        let s = sample();
+    fn raw_cgps_dump_is_a_named_error() {
+        // The retired pre-container layout: magic `CGPS` + param blob.
         let model = CircuitGps::new(ModelConfig::default());
-        let want = model.predict_link(&s);
-        let mut bytes = Vec::new();
-        model.save(&mut bytes).unwrap(); // legacy raw dump
-        let (loaded, fmt) = CircuitGps::load_checkpoint(&bytes[..]).unwrap();
-        assert_eq!(fmt, CheckpointFormat::Legacy);
-        assert_eq!(loaded.cfg, ModelConfig::default());
-        assert_eq!(loaded.predict_link(&s).to_bits(), want.to_bits());
+        let mut bytes = b"CGPS".to_vec();
+        model.store().save_blob(&mut bytes).unwrap();
+        match CircuitGps::load_checkpoint(&bytes[..]) {
+            Err(e @ CheckpointError::RawDump) => {
+                let msg = e.to_string();
+                assert!(msg.contains("no longer read"), "{msg}");
+                assert!(msg.contains("older cirgps build"), "{msg}");
+                assert!(msg.contains("retrain"), "{msg}");
+            }
+            other => panic!("expected RawDump, got {other:?}"),
+        }
     }
 
     #[test]
@@ -846,19 +839,18 @@ mod tests {
     }
 
     #[test]
-    fn legacy_dump_of_non_default_model_reports_shape_mismatch_by_name() {
-        // The exact failure mode the self-describing container removes:
-        // a legacy dump of a non-default architecture loads against the
-        // assumed default config and must name the mismatched parameter
-        // and both shapes instead of a bare I/O error.
+    fn mismatched_param_blob_reports_shape_mismatch_by_name() {
+        // A container whose embedded config is the default but whose
+        // blob comes from a non-default architecture: the loader must
+        // name the mismatched parameter and both shapes instead of a
+        // bare I/O error.
         let model = CircuitGps::new(ModelConfig {
             hidden_dim: 16,
             pe_dim: 4,
             heads: 2,
             ..ModelConfig::default()
         });
-        let mut bytes = Vec::new();
-        model.save(&mut bytes).unwrap();
+        let bytes = v1_bytes(&ModelConfig::default(), &model);
         match CircuitGps::load_checkpoint(&bytes[..]) {
             Err(CheckpointError::Params(ParamLoadError::ShapeMismatch {
                 name,

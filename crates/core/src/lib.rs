@@ -44,7 +44,7 @@ mod train;
 
 pub use checkpoint::{
     Checkpoint, CheckpointError, CheckpointFormat, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
-    LEGACY_MAGIC, TRAIN_STATE_SECTION,
+    TRAIN_STATE_SECTION,
 };
 pub use cirgps_nn::{Backend, QuantMatrix};
 pub use config::{AttnKind, FinetuneMode, ModelConfig, MpnnKind, TrainConfig};

@@ -20,15 +20,11 @@ use crate::tensor::Tensor;
 ///
 /// Every variant names what was expected and what the blob contained, so
 /// a CLI can surface "which parameter, which shapes" instead of a bare
-/// I/O error. Converts into [`std::io::Error`] (kind `InvalidData`,
-/// except [`ParamLoadError::Io`] which keeps its kind) for callers on
-/// `io::Result` signatures.
+/// I/O error.
 #[derive(Debug)]
 pub enum ParamLoadError {
     /// Underlying reader failed (or the blob was truncated).
     Io(io::Error),
-    /// The 4-byte legacy magic was not `CGPS`.
-    BadMagic([u8; 4]),
     /// The blob holds a different number of parameter tensors.
     ParamCount {
         /// Tensors in the store being loaded into.
@@ -65,9 +61,6 @@ impl std::fmt::Display for ParamLoadError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ParamLoadError::Io(e) => write!(f, "reading parameter blob: {e}"),
-            ParamLoadError::BadMagic(m) => {
-                write!(f, "bad checkpoint magic {m:?} (expected \"CGPS\")")
-            }
             ParamLoadError::ParamCount { expected, found } => write!(
                 f,
                 "checkpoint has {found} params, model expects {expected} \
@@ -107,15 +100,6 @@ impl std::error::Error for ParamLoadError {
 impl From<io::Error> for ParamLoadError {
     fn from(e: io::Error) -> Self {
         ParamLoadError::Io(e)
-    }
-}
-
-impl From<ParamLoadError> for io::Error {
-    fn from(e: ParamLoadError) -> Self {
-        match e {
-            ParamLoadError::Io(e) => e,
-            other => io::Error::new(io::ErrorKind::InvalidData, other.to_string()),
-        }
     }
 }
 
@@ -423,40 +407,6 @@ impl ParamStore {
         }
         Ok(())
     }
-
-    /// Serializes all parameters and buffers in the **legacy** raw-dump
-    /// format: the 4-byte magic `CGPS` followed by the
-    /// [`ParamStore::save_blob`] records. The format does not record the
-    /// model configuration; prefer the self-describing checkpoint
-    /// container (`CircuitGps::save_checkpoint` in `circuitgps`).
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O error from the writer.
-    pub fn save<W: Write>(&self, mut w: W) -> io::Result<()> {
-        w.write_all(b"CGPS")?;
-        self.save_blob(&mut w)
-    }
-
-    /// Loads parameter *values* from a legacy-format reader (the
-    /// counterpart of [`ParamStore::save`]) into this store.
-    ///
-    /// The store must already contain parameters with matching names and
-    /// shapes (i.e. build the model first, then load the checkpoint).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on I/O failure, bad magic, or name/shape
-    /// mismatch (a [`ParamLoadError`] converted to `io::Error`, keeping
-    /// the named message).
-    pub fn load<R: Read>(&mut self, mut r: R) -> io::Result<()> {
-        let mut magic = [0u8; 4];
-        r.read_exact(&mut magic)?;
-        if &magic != b"CGPS" {
-            return Err(ParamLoadError::BadMagic(magic).into());
-        }
-        self.load_blob(&mut r).map_err(Into::into)
-    }
 }
 
 pub(crate) fn write_u64<W: Write>(w: &mut W, v: u64) -> io::Result<()> {
@@ -684,12 +634,12 @@ mod tests {
         s.register("w", xavier_uniform(3, 5, &mut rng), true);
         let buf_id = s.register_buffer("bn.mean", Tensor::row(&[1.0, 2.0]));
         let mut bytes = Vec::new();
-        s.save(&mut bytes).unwrap();
+        s.save_blob(&mut bytes).unwrap();
 
         let mut s2 = ParamStore::new();
         let w2 = s2.register("w", Tensor::zeros(3, 5), true);
         s2.register_buffer("bn.mean", Tensor::zeros(1, 2));
-        s2.load(&bytes[..]).unwrap();
+        s2.load_blob(&bytes[..]).unwrap();
         assert_eq!(s2.get(w2), s.get(ParamId(0)));
         assert_eq!(s2.buffer(BufferId(0)), s.buffer(buf_id));
     }
@@ -699,11 +649,14 @@ mod tests {
         let mut s = ParamStore::new();
         s.register("w", Tensor::zeros(2, 2), true);
         let mut bytes = Vec::new();
-        s.save(&mut bytes).unwrap();
+        s.save_blob(&mut bytes).unwrap();
 
         let mut s2 = ParamStore::new();
         s2.register("w", Tensor::zeros(3, 3), true);
-        assert!(s2.load(&bytes[..]).is_err());
+        assert!(matches!(
+            s2.load_blob(&bytes[..]),
+            Err(ParamLoadError::ShapeMismatch { .. })
+        ));
     }
 
     #[test]

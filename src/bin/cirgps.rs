@@ -11,11 +11,16 @@
 //! cirgps eval     --model finetuned.ckpt --netlist t.sp --top T --spf t.spf
 //! cirgps energy   --netlist designs/SSRAM.sp --top SSRAM --spf designs/SSRAM.spf --vectors 32
 //! ```
+//!
+//! Every command is one row of [`COMMANDS`]: its flags, their defaults
+//! and their help text are declared there once, and parsing, rejection,
+//! typed reads and `cirgps help` all derive from that row.
 
-use std::collections::HashMap;
 use std::fs;
 use std::net::TcpListener;
+use std::path::Path;
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::time::Duration;
 
 use cirgps::client::{Client, RetryPolicy};
@@ -26,13 +31,12 @@ use cirgps::datagen::{
     SizePreset,
 };
 use cirgps::graph::{netlist_to_graph, CircuitGraph, GraphStats, XcSpec};
-use cirgps::model::corpus::CorpusSpec;
+use cirgps::model::corpus::{CorpusDesign, CorpusSpec};
 use cirgps::model::{
     evaluate_link, evaluate_regression, finetune_regression_with_progress, interrupt,
-    prepare_link_dataset, sweep_pairs, train_resumable, write_atomic, CandidatePairs,
-    CheckpointFormat, CircuitGps, FinetuneMode, InferenceSession, LinkMetrics, ModelConfig,
-    PreparedSample, RegMetrics, ResumableTrain, SweepConfig, SweepTask, Task, TrainConfig,
-    TrainState, TRAIN_STATE_SECTION,
+    prepare_link_dataset, sweep_pairs, train_resumable, write_atomic, CandidatePairs, CircuitGps,
+    FinetuneMode, InferenceSession, LinkMetrics, ModelConfig, PreparedSample, RegMetrics,
+    ResumableTrain, SweepConfig, SweepTask, Task, TrainConfig, TrainState, TRAIN_STATE_SECTION,
 };
 use cirgps::netlist::{Netlist, SpfFile, SpiceFile};
 use cirgps::sample::{CapNormalizer, DatasetConfig, LinkDataset, SamplerConfig, XcNormalizer};
@@ -41,31 +45,20 @@ use cirgps::spice::{net_capacitances, simulate_energy};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = args.first() else {
-        eprintln!("{USAGE}");
+    let Some(name) = args.first() else {
+        eprintln!("{}", usage());
         return ExitCode::FAILURE;
     };
     // Help never flag-parses: `cirgps help gen` must print usage, not
     // complain about the positional "gen".
-    if matches!(cmd.as_str(), "--help" | "-h" | "help") {
-        println!("{USAGE}");
+    if matches!(name.as_str(), "--help" | "-h" | "help") {
+        println!("{}", usage());
         return ExitCode::SUCCESS;
     }
-    let result = parse_flags(&args[1..]).and_then(|flags| match cmd.as_str() {
-        "gen" => cmd_gen(&flags),
-        "datagen" => cmd_datagen(&flags),
-        "stats" => cmd_stats(&flags),
-        "sample" => cmd_sample(&flags),
-        "pretrain" => cmd_pretrain(&flags),
-        "finetune" => cmd_finetune(&flags),
-        "eval" => cmd_eval(&flags),
-        "predict" => cmd_predict(&flags),
-        "sweep" => cmd_sweep(&flags),
-        "serve" => cmd_serve(&flags),
-        "client" => cmd_client(&flags),
-        "energy" => cmd_energy(&flags),
-        other => Err(format!("unknown command {other:?}\n{USAGE}")),
-    });
+    let result = match COMMANDS.iter().find(|c| c.name == name) {
+        Some(cmd) => Args::parse(cmd, &args[1..]).and_then(|a| (cmd.run)(&a)),
+        None => Err(format!("unknown command {name:?}\n{}", usage())),
+    };
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
@@ -75,270 +68,467 @@ fn main() -> ExitCode {
     }
 }
 
-const USAGE: &str = "\
-cirgps — few-shot parasitic prediction pipeline
-
-USAGE:
-  cirgps gen    --kind <ssram|ultra8t|sandwich|clkgen|timing|array>
-                [--preset tiny|small|paper] [--seed N] [--out DIR]
-      Generate a synthetic AMS design; writes <NAME>.sp and <NAME>.spf.
-
-  cirgps datagen [--family all|chain|tree|bus|fabric|array|sandwich]
-                [--seed N] [--max-size S] [--min-size S] [--count K]
-                [--out DIR] [--threads N] [--list]
-      Enumerate the composition grammar's design space: every structure
-      whose size estimate falls in [--min-size, --max-size], in a
-      canonical deterministic order, validity-filtered and written as
-      the same <NAME>.sp + <NAME>.spf pairs `gen` produces
-      (docs/datagen.md has the grammar reference).
-        --family F        restrict to one grammar family (default all)
-        --seed N          parasitic-extraction seed; the SPICE structure
-                          is seed-independent (default 7)
-        --max-size S      upper size-estimate bound (default 4000;
-                          roughly heterogeneous-graph nodes)
-        --min-size S      lower size-estimate bound (default 0)
-        --count K         stop after the first K designs (default all)
-        --out DIR         output directory (default .)
-        --threads N       parallel builders; output bytes are identical
-                          for every N (default 1)
-        --list            print name/family/size-estimate per design
-                          without building anything
-
-  cirgps stats  --netlist FILE.sp --top NAME
-      Parse + flatten a SPICE netlist and print heterogeneous-graph
-      statistics (Table IV format) and the Table-I feature spec.
-
-  cirgps sample --netlist FILE.sp --top NAME --spf FILE.spf
-                [--per-type N]
-      Join SPF couplings, build the balanced link dataset with 1-hop
-      enclosing subgraphs, and print dataset statistics.
-
-  cirgps pretrain --netlist A.sp[,B.sp...] --top A[,B...] --spf A.spf[,B.spf...]
-                [--grammar FAMILY[:MAX_SIZE[:COUNT[:MIN_SIZE]]]]
-                [--epochs N] [--batch-size N] [--lr F] [--seed N]
-                [--per-type N] [--hidden-dim N] [--layers N] [--heads N]
-                [--pe-dim N] [--dropout F] [--holdout PCT] [--eval-every N]
-                [--checkpoint-every N] [--resume] [--quantize]
-                [--metrics-out FILE.json] --out FILE.ckpt
-      Pre-train CircuitGPS on coupling link prediction over one or more
-      design pairs (comma-separated lists, aligned by position), then
-      write a self-describing checkpoint (embedded model config; see
-      docs/checkpoint-format.md). Progress streams to stderr per epoch.
-      `--grammar` appends enumerated grammar designs to the corpus
-      without touching disk (and makes the file flags optional);
-      `chain:900:4` = first 4 chain designs under size 900.
-        --epochs N        training epochs (default 30)
-        --batch-size N    minibatch size (default 32)
-        --lr F            peak learning rate (default 1e-3)
-        --seed N          model init + shuffling seed (default 7)
-        --per-type N      positive couplings sampled per type (default 200)
-        --hidden-dim/--layers/--heads/--pe-dim/--dropout
-                          model architecture overrides (defaults
-                          32/3/4/8/0.1); recorded in the checkpoint, so
-                          downstream commands need no matching flags
-        --holdout PCT     percent of samples held out for eval (default
-                          10; 0 trains on everything)
-        --eval-every N    evaluate the held-out split every N epochs
-        --checkpoint-every N
-                          write a resumable snapshot to --out every N
-                          epochs (the previous one rotates to .bak); all
-                          writes are atomic + durable, so a crash at any
-                          point leaves a loadable snapshot
-        --resume          continue an interrupted run from the snapshot
-                          at --out (or its .bak); requires the same
-                          training/data flags, reproduces the
-                          uninterrupted run's final metrics. SIGINT or
-                          SIGTERM stops at the next epoch boundary and
-                          writes a final snapshot (docs/robustness.md)
-        --metrics-out F   write a JSON training log (per-epoch loss,
-                          periodic + final eval metrics)
-        --quantize        round each weight matrix to its int8 grid
-                          (per-tensor symmetric scales) before saving;
-                          the checkpoint stays an f32 file that every
-                          command reads as usual (docs/simd-quant.md)
-
-  cirgps finetune --model PRE.ckpt --netlist FILE.sp --top NAME
-                --spf FILE.spf --shots N [--unfreeze-all]
-                [--epochs N] [--batch-size N] [--lr F] [--seed N]
-                [--per-type N] [--eval-every N] [--quantize]
-                [--metrics-out FILE.json] --out FILE.ckpt
-      Few-shot fine-tune a pre-trained checkpoint for capacitance
-      regression on a target design: N labeled positive pairs train the
-      regression head (backbone frozen by default, the paper's few-shot
-      recipe); the remaining labeled pairs become the held-out eval set.
-        --shots N         labeled pairs to fine-tune on (spread evenly
-                          over the positives)
-        --unfreeze-all    also fine-tune encoders + GPS layers
-        --epochs N        fine-tuning epochs (default 50)
-
-  cirgps eval   --model FILE.ckpt --netlist FILE.sp[,...] --top NAME[,...]
-                --spf FILE.spf[,...] [--grammar SPEC]
-                [--task link|cap|both] [--per-type N]
-      Evaluate a checkpoint on the designs' sampled pair sets and print
-      one JSON object to stdout: link metrics (accuracy/F1/AUC) over all
-      pairs and/or regression metrics (MAE/RMSE/R2, normalized scale)
-      over the labeled positives.
-
-  cirgps predict --netlist FILE.sp --top NAME --spf FILE.spf
-                [--task link|cap] [--batch-size N] [--per-type N]
-                [--model FILE.ckpt] [--out FILE.json]
-      Score the design's candidate coupling pairs with the batched
-      tape-free inference engine (block-diagonal attention). Like every
-      command, it picks the best SIMD backend at runtime;
-      CIRGPS_FORCE_BACKEND=scalar|avx2|avx512 pins one (the output is
-      bitwise-identical either way — docs/simd-quant.md).
-        --task link|cap   link probability (default) or normalized +
-                          decoded coupling capacitance per pair
-        --batch-size N    samples per packed batch (default 32)
-        --per-type N      candidate pairs sampled per coupling type
-                          (default 200)
-        --model FILE      load a checkpoint (`cirgps pretrain`/`finetune`
-                          output; the model is rebuilt from the embedded
-                          config). Without it a freshly initialized
-                          default model is used (structure-only smoke
-                          predictions)
-        --out FILE.json   write JSON lines there instead of stdout
-      Output: one JSON object per candidate pair.
-
-  cirgps sweep  --netlist FILE.sp --top NAME [--model FILE.ckpt]
-                [--task link|cap] [--pairs FILE] [--per-node-cap N]
-                [--max-pairs N] [--chunk N] [--threads N]
-                [--format jsonl|csv] [--out FILE]
-      Plan and execute a full-chip sweep: score *every* candidate pair
-      of the design (or an explicit pair list) as one batched job with
-      shared subgraph extraction and neighborhood deduplication,
-      streaming results with bounded memory (see docs/sweep.md).
-      Bitwise parity contract: each pair's value equals what `cirgps
-      predict` emits for that pair with the same model.
-        --task link|cap   link probability (default) or normalized +
-                          decoded coupling capacitance per pair
-        --pairs FILE      score these pairs instead of enumerating: one
-                          pair per line, `a,b` or `a b` node ids
-                          (`#` comments allowed)
-        --per-node-cap N  max partners enumerated per anchor node
-                          (bounds hub-net blowup; default 0 = all)
-        --max-pairs N     stop enumerating after N pairs (default 0 =
-                          sweep everything)
-        --chunk N         pairs per planned window — the bounded-memory
-                          knob; results flush once per window
-                          (default 4096)
-        --threads N       forward-pass worker threads (default 1)
-        --format jsonl|csv
-                          output format (default jsonl, same fields as
-                          `cirgps predict` minus the dataset label)
-        --out FILE        write results there instead of stdout
-      Prints planner statistics (pairs, unique forwards, dedup rate,
-      amortized µs/pair) to stderr.
-
-  cirgps serve  --netlist FILE.sp --top NAME [--model FILE.ckpt]
-                [--addr HOST:PORT] [--max-batch N] [--max-wait-us N]
-                [--workers N] [--queue-cap N] [--cache-cap N]
-                [--drain-timeout-ms N] [--request-timeout-ms N]
-      Run the long-lived inference daemon: model, graph and sample
-      caches stay warm, and concurrent HTTP queries are coalesced into
-      packed batches by the dynamic micro-batcher (see docs/serving.md).
-        --addr         listen address (default 127.0.0.1:8321)
-        --max-batch    flush a batch at N queries (default 32)
-        --max-wait-us  flush a partial batch after N microseconds
-                       (default 2000)
-        --workers      scheduler threads (default 2)
-        --queue-cap    queue depth before 503 backpressure (default 1024)
-        --cache-cap    per-worker prepared-sample cache (default 65536)
-        --drain-timeout-ms
-                       on SIGTERM/SIGINT: how long the graceful drain
-                       waits for open connections before force-closing
-                       them (default 5000; docs/robustness.md)
-        --request-timeout-ms
-                       per-request deadline; a request not answered in
-                       time gets 504 instead of hanging (default 30000)
-        --max-body-bytes
-                       reject request bodies larger than this with 413
-                       (default 8388608)
-        --max-headers  reject requests with more header lines with 400
-                       (default 64)
-        --idle-timeout-ms
-                       close a keep-alive connection idle this long
-                       (default 60000)
-        --ingress-timeout-ms
-                       wall-clock budget for reading one request once
-                       its first byte arrives; slow-loris senders get
-                       408 (default 10000)
-        --max-conns    concurrent-connection cap; excess connections are
-                       shed with 503 + Retry-After (default 256)
-      Endpoints: GET /healthz, GET /metrics, POST /v1/predict,
-      POST /v1/sweep (chunked JSONL bulk sweep).
-
-  cirgps client [--addr HOST:PORT] [--method GET|POST] [--path P]
-                [--body JSON | --body-file FILE]
-                [--retries N] [--deadline-ms N] [--seed N]
-      Query a running daemon through the retrying client: exponential
-      backoff with decorrelated jitter, Retry-After honoring, and a
-      total deadline budget (docs/robustness.md has the recipe).
-      `--path /v1/sweep` streams the chunked JSONL response to stdout
-      as it arrives; other paths print the response body.
-        --addr         daemon address (default 127.0.0.1:8321)
-        --method       GET (default) or POST
-        --path P       request path (default /healthz)
-        --body JSON    inline request body
-        --body-file F  read the request body from a file
-        --retries N    attempts before giving up (default 6)
-        --deadline-ms N
-                       total budget across all attempts (default 30000)
-        --seed N       backoff jitter seed (default 24301)
-
-  cirgps energy --netlist FILE.sp --top NAME --spf FILE.spf
-                [--vectors N] [--vdd V] [--seed N]
-      Run the switch-level simulator and report switching energy.";
-
-/// Parses `--flag value` pairs. Rejects positional arguments; a flag
-/// followed by another flag (or nothing) gets an empty value, which the
-/// per-command validators then report with the flag's name.
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
-    let mut flags = HashMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        if let Some(key) = args[i].strip_prefix("--") {
-            let value = match args.get(i + 1) {
-                Some(v) if !v.starts_with("--") => {
-                    i += 2;
-                    v.clone()
-                }
-                _ => {
-                    i += 1;
-                    String::new()
-                }
-            };
-            flags.insert(key.to_string(), value);
-        } else {
-            return Err(format!(
-                "unexpected positional argument {:?} (flags are --name value pairs)",
-                args[i]
-            ));
-        }
-    }
-    Ok(flags)
+/// One `cirgps` subcommand: the single place its flags are declared.
+struct Cmd {
+    name: &'static str,
+    /// The description paragraph `cirgps help` prints.
+    about: &'static str,
+    run: fn(&Args) -> Result<(), String>,
+    flags: &'static [Flag],
 }
 
-/// Rejects flags a command does not understand, naming the failing flag
-/// and listing what the command accepts.
-fn check_flags(flags: &HashMap<String, String>, cmd: &str, allowed: &[&str]) -> Result<(), String> {
-    let mut unknown: Vec<&str> = flags
-        .keys()
-        .map(String::as_str)
-        .filter(|k| !allowed.contains(k))
-        .collect();
-    unknown.sort_unstable();
-    if let Some(first) = unknown.first() {
-        return Err(format!(
-            "unknown flag --{first} for `cirgps {cmd}` (expected {})",
-            allowed
-                .iter()
-                .map(|f| format!("--{f}"))
-                .collect::<Vec<_>>()
-                .join(", ")
-        ));
+/// One flag a command accepts.
+struct Flag {
+    name: &'static str,
+    /// Value placeholder for help; empty for a presence flag, which
+    /// takes no value.
+    value: &'static str,
+    help: &'static str,
+    default: Fallback,
+}
+
+/// What a flag reads as when it is not given.
+enum Fallback {
+    /// Nothing: the command decides what absence means.
+    Unset,
+    /// The CLI's own default, returned by [`Args::get`].
+    Cli(&'static str),
+    /// A library config's default (`ServeConfig`, `ModelConfig`,
+    /// `RetryPolicy`), rendered in help only: the command passes the
+    /// struct's value to [`Args::value_or`], and a unit test pins the
+    /// two together.
+    Lib(&'static str),
+}
+
+/// A flag with no default; `value` is its help placeholder, empty for
+/// a presence flag.
+const fn flag(name: &'static str, value: &'static str, help: &'static str) -> Flag {
+    Flag {
+        name,
+        value,
+        help,
+        default: Fallback::Unset,
     }
-    Ok(())
+}
+
+impl Flag {
+    /// Sets the CLI-owned default.
+    const fn or(self, default: &'static str) -> Flag {
+        Flag {
+            default: Fallback::Cli(default),
+            ..self
+        }
+    }
+
+    /// Records, for help, the default a library config supplies.
+    const fn lib(self, default: &'static str) -> Flag {
+        Flag {
+            default: Fallback::Lib(default),
+            ..self
+        }
+    }
+
+    /// `--name VALUE`, as help shows it.
+    fn usage(&self) -> String {
+        format!("--{} {}", self.name, self.value)
+            .trim_end()
+            .to_string()
+    }
+}
+
+const NETLIST: Flag = flag("netlist", "FILE.sp", "SPICE netlist");
+const TOP: Flag = flag("top", "NAME", "top-level subcircuit to flatten");
+const SPF: Flag = flag("spf", "FILE.spf", "parasitics of the same design");
+const MODEL: Flag = flag("model", "FILE.ckpt", "checkpoint to load");
+const PER_TYPE: Flag = flag("per-type", "N", "pairs sampled per coupling type").or("200");
+const SEED: Flag = flag("seed", "N", "random seed").or("7");
+const LR: Flag = flag("lr", "F", "peak learning rate").or("1e-3");
+const EVAL_EVERY: Flag = flag("eval-every", "N", "held-out eval period; 0 = off").or("0");
+const QUANTIZE: Flag = flag("quantize", "", "round weights to int8 grid on save");
+const METRICS_OUT: Flag = flag("metrics-out", "FILE.json", "write a JSON training log");
+const CKPT_OUT: Flag = flag("out", "FILE.ckpt", "checkpoint to write (required)");
+const TASK: Flag = flag("task", "link|cap", "what to predict per pair").or("link");
+const ADDR: Flag = flag("addr", "HOST:PORT", "daemon address").or("127.0.0.1:8321");
+
+/// Seed of the parasitics of `eval --grammar` designs; stated in that
+/// flag's help.
+const EVAL_CORPUS_SEED: u64 = 7;
+
+/// Every `cirgps` command, in help order.
+const COMMANDS: &[Cmd] = &[
+    Cmd {
+        name: "gen",
+        about: "Generate a synthetic AMS design; writes <NAME>.sp and <NAME>.spf. --kind is \
+                required.",
+        run: cmd_gen,
+        flags: &[
+            flag("kind", "KIND", "ssram|ultra8t|sandwich|clkgen|timing|array"),
+            flag("preset", "P", "size preset: tiny|small|paper").or("tiny"),
+            SEED,
+            flag("out", "DIR", "output directory").or("."),
+        ],
+    },
+    Cmd {
+        name: "datagen",
+        about: "Enumerate the composition grammar's designs whose size estimate (roughly \
+                heterogeneous-graph nodes) falls in [--min-size, --max-size], in canonical \
+                order, validity-filtered, and write them as <NAME>.sp + <NAME>.spf pairs like \
+                `gen` (docs/datagen.md). --seed seeds parasitic extraction only; the output \
+                bytes are identical for every --threads.",
+        run: cmd_datagen,
+        flags: &[
+            flag("family", "F", "all|chain|tree|bus|fabric|array|sandwich").or("all"),
+            SEED,
+            flag("max-size", "S", "upper size-estimate bound").or("4000"),
+            flag("min-size", "S", "lower size-estimate bound").or("0"),
+            flag("count", "K", "stop after K designs; 0 = all").or("0"),
+            flag("out", "DIR", "output directory").or("."),
+            flag("threads", "N", "parallel builders").or("1"),
+            flag("list", "", "list name/family/size, build nothing"),
+        ],
+    },
+    Cmd {
+        name: "stats",
+        about: "Parse + flatten a SPICE netlist and print heterogeneous-graph statistics \
+                (Table IV format) and the Table-I feature spec.",
+        run: cmd_stats,
+        flags: &[NETLIST, TOP],
+    },
+    Cmd {
+        name: "sample",
+        about: "Join SPF couplings, build the balanced link dataset with 1-hop enclosing \
+                subgraphs, and print dataset statistics.",
+        run: cmd_sample,
+        flags: &[NETLIST, TOP, SPF, PER_TYPE],
+    },
+    Cmd {
+        name: "pretrain",
+        about: "Pre-train CircuitGPS on coupling link prediction, then write a self-describing \
+                checkpoint to --out; its embedded model config spares later commands any \
+                architecture flags (docs/checkpoint-format.md). --netlist/--top/--spf take \
+                comma-separated lists aligned by position. --grammar \
+                FAMILY[:MAX_SIZE[:COUNT[:MIN_SIZE]]] adds in-memory grammar designs seeded with \
+                --seed and makes the file flags optional (`chain:900:4` = first 4 chain designs \
+                under size 900). --checkpoint-every writes atomic resumable snapshots, rotating \
+                the previous one to .bak; SIGINT/SIGTERM stops at the next epoch boundary with \
+                a final one, and --resume with the same flags reproduces the uninterrupted run \
+                (docs/robustness.md). --quantize rounds weights to their int8 grid before \
+                saving; the file stays f32 (docs/simd-quant.md).",
+        run: cmd_pretrain,
+        flags: &[
+            NETLIST,
+            TOP,
+            SPF,
+            flag("grammar", "SPEC", "append grammar designs"),
+            PER_TYPE,
+            flag("epochs", "N", "training epochs").or("30"),
+            flag("batch-size", "N", "minibatch size").or("32"),
+            LR,
+            SEED,
+            flag("hidden-dim", "N", "hidden width").lib("32"),
+            flag("layers", "N", "GPS layers").lib("3"),
+            flag("heads", "N", "attention heads").lib("4"),
+            flag("pe-dim", "N", "PE embedding width").lib("8"),
+            flag("dropout", "F", "dropout probability").lib("0.1"),
+            flag("holdout", "PCT", "percent held out for eval").or("10"),
+            EVAL_EVERY,
+            flag("checkpoint-every", "N", "snapshot period; 0 = off").or("0"),
+            flag("resume", "", "continue the run snapshotted at --out"),
+            QUANTIZE,
+            METRICS_OUT,
+            CKPT_OUT,
+        ],
+    },
+    Cmd {
+        name: "finetune",
+        about: "Few-shot fine-tune a pre-trained checkpoint (--model, required) for capacitance \
+                regression on a target design: --shots labeled positive pairs (required, >= 1), \
+                spread evenly over the positives, train the regression head (backbone frozen \
+                unless --unfreeze-all, the paper's few-shot recipe); the remaining labeled \
+                pairs become the held-out eval set. --netlist/--top/--spf take comma-separated \
+                lists aligned by position.",
+        run: cmd_finetune,
+        flags: &[
+            MODEL,
+            NETLIST,
+            TOP,
+            SPF,
+            flag("shots", "N", "labeled pairs to fine-tune on"),
+            flag("unfreeze-all", "", "also fine-tune encoders + GPS layers"),
+            PER_TYPE,
+            flag("epochs", "N", "fine-tuning epochs").or("50"),
+            flag("batch-size", "N", "minibatch size").or("8"),
+            LR,
+            SEED,
+            EVAL_EVERY,
+            QUANTIZE,
+            METRICS_OUT,
+            CKPT_OUT,
+        ],
+    },
+    Cmd {
+        name: "eval",
+        about: "Evaluate a checkpoint (--model, required) on the designs' sampled pair sets and \
+                print one JSON object to stdout: link metrics (accuracy/F1/AUC) over all pairs \
+                and/or regression metrics (MAE/RMSE/R2, normalized scale) over the labeled \
+                positives. --netlist/--top/--spf take comma-separated lists aligned by \
+                position; --grammar appends designs as in `pretrain`.",
+        run: cmd_eval,
+        flags: &[
+            MODEL,
+            NETLIST,
+            TOP,
+            SPF,
+            flag("grammar", "SPEC", "append grammar designs (seed 7)"),
+            flag("task", "link|cap|both", "metrics to report").or("both"),
+            PER_TYPE,
+        ],
+    },
+    Cmd {
+        name: "predict",
+        about: "Score the design's candidate coupling pairs with the batched tape-free \
+                inference engine and print one JSON object per pair. Without --model a freshly \
+                initialized default model gives structure-only smoke predictions. \
+                CIRGPS_FORCE_BACKEND=scalar|avx2|avx512 pins the SIMD backend; the output is \
+                bitwise-identical either way (docs/simd-quant.md).",
+        run: cmd_predict,
+        flags: &[
+            NETLIST,
+            TOP,
+            SPF,
+            TASK,
+            flag("batch-size", "N", "samples per packed batch").or("32"),
+            PER_TYPE,
+            MODEL,
+            flag("out", "FILE.json", "write JSON lines there"),
+        ],
+    },
+    Cmd {
+        name: "sweep",
+        about: "Plan and execute a full-chip sweep: score *every* candidate pair of the design \
+                (or the --pairs list: one `a,b` or `a b` node-id pair per line, `#` comments \
+                allowed) as one batched job with shared subgraph extraction and neighborhood \
+                deduplication, streaming results with memory bounded by --chunk (docs/sweep.md). \
+                Each value equals what `cirgps predict` emits for that pair with the same model. \
+                Prints planner statistics (pairs, dedup rate, µs/pair) to stderr.",
+        run: cmd_sweep,
+        flags: &[
+            NETLIST,
+            TOP,
+            MODEL,
+            TASK,
+            flag("pairs", "FILE", "score only these pairs"),
+            flag("per-node-cap", "N", "partners per anchor; 0 = all").or("0"),
+            flag("max-pairs", "N", "stop after N pairs; 0 = all").or("0"),
+            flag("chunk", "N", "pairs per planned window").or("4096"),
+            flag("threads", "N", "forward-pass worker threads").or("1"),
+            flag("format", "jsonl|csv", "output format").or("jsonl"),
+            flag("out", "FILE", "write results there, not stdout"),
+        ],
+    },
+    Cmd {
+        name: "serve",
+        about: "Run the long-lived inference daemon (docs/serving.md): caches stay warm and \
+                concurrent HTTP queries are coalesced into packed batches by the dynamic \
+                micro-batcher. Endpoints: GET /healthz, GET /metrics, POST /v1/predict, POST \
+                /v1/sweep (chunked JSONL). Without --model a freshly initialized default model \
+                is served. Limits answer 503 (queue, connections), 504 (request timeout), 413 \
+                (body), 400 (headers) and 408 (slow ingress); SIGTERM/SIGINT drains gracefully \
+                (docs/robustness.md).",
+        run: cmd_serve,
+        flags: &[
+            NETLIST,
+            TOP,
+            MODEL,
+            ADDR,
+            flag("max-batch", "N", "flush a batch at N queries").lib("32"),
+            flag("max-wait-us", "N", "flush a partial batch after N µs").lib("2000"),
+            flag("workers", "N", "scheduler threads").lib("2"),
+            flag("queue-cap", "N", "queue depth before 503").lib("1024"),
+            flag("cache-cap", "N", "per-worker sample cache").lib("65536"),
+            flag("drain-timeout-ms", "N", "graceful-drain deadline").lib("5000"),
+            flag("request-timeout-ms", "N", "per-request deadline").lib("30000"),
+            flag("max-body-bytes", "N", "request body limit").lib("8388608"),
+            flag("max-headers", "N", "header-line limit").lib("64"),
+            flag("idle-timeout-ms", "N", "keep-alive idle limit").lib("60000"),
+            flag("ingress-timeout-ms", "N", "budget to read a request").lib("10000"),
+            flag("max-conns", "N", "concurrent-connection cap").lib("256"),
+        ],
+    },
+    Cmd {
+        name: "client",
+        about: "Query a running daemon through the retrying client: exponential backoff with \
+                decorrelated jitter, Retry-After honoring, and a total deadline budget \
+                (docs/robustness.md has the recipe). `--path /v1/sweep` streams the chunked \
+                JSONL response to stdout as it arrives; other paths print the response body.",
+        run: cmd_client,
+        flags: &[
+            ADDR,
+            flag("method", "GET|POST", "request method").or("GET"),
+            flag("path", "P", "request path").or("/healthz"),
+            flag("body", "JSON", "inline request body"),
+            flag("body-file", "FILE", "read the request body from a file"),
+            flag("retries", "N", "attempts before giving up").lib("6"),
+            flag("deadline-ms", "N", "budget across all attempts").lib("30000"),
+            flag("seed", "N", "backoff jitter seed").or("24301"),
+        ],
+    },
+    Cmd {
+        name: "energy",
+        about: "Run the switch-level simulator and report switching energy.",
+        run: cmd_energy,
+        flags: &[
+            NETLIST,
+            TOP,
+            SPF,
+            flag("vectors", "N", "random input vectors").or("32"),
+            flag("vdd", "V", "supply voltage").or("0.9"),
+            SEED,
+        ],
+    },
+];
+
+/// A command's flags as given, checked against its table rows.
+struct Args {
+    cmd: &'static Cmd,
+    /// The value given for each of `cmd.flags`; `""` for a presence
+    /// flag that was given.
+    given: Vec<Option<String>>,
+}
+
+impl Args {
+    /// Parses everything after the command name. Runs before any file
+    /// I/O and rejects, naming the flag: an unknown flag, a presence
+    /// flag given a value, a valued flag without one, and a repeat.
+    fn parse(cmd: &'static Cmd, argv: &[String]) -> Result<Args, String> {
+        let mut given = vec![None; cmd.flags.len()];
+        let mut argv = argv.iter().peekable();
+        while let Some(arg) = argv.next() {
+            let Some(name) = arg.strip_prefix("--") else {
+                return Err(format!(
+                    "unexpected positional argument {arg:?} (flags are --name value pairs)"
+                ));
+            };
+            let Some(i) = cmd.flags.iter().position(|f| f.name == name) else {
+                let expected: Vec<String> =
+                    cmd.flags.iter().map(|f| format!("--{}", f.name)).collect();
+                return Err(format!(
+                    "unknown flag --{name} for `cirgps {}` (expected {})",
+                    cmd.name,
+                    expected.join(", ")
+                ));
+            };
+            if given[i].is_some() {
+                return Err(format!("--{name} is given more than once"));
+            }
+            let value = argv.next_if(|v| !v.starts_with("--"));
+            given[i] = Some(match (cmd.flags[i].value, value) {
+                ("", None) => String::new(),
+                ("", Some(v)) => {
+                    return Err(format!(
+                        "--{name} is a presence flag and takes no value (got {v:?})"
+                    ))
+                }
+                (_, Some(v)) => v.clone(),
+                (placeholder, None) => {
+                    return Err(format!("--{name} needs a value ({placeholder})"))
+                }
+            });
+        }
+        Ok(Args { cmd, given })
+    }
+
+    /// The row of `name` and the value given for it. Reading a flag the
+    /// command does not declare is a bug in the command, not a user
+    /// error.
+    fn row(&self, name: &str) -> (&Flag, Option<&str>) {
+        let cmd = self.cmd.name;
+        let i = (self.cmd.flags.iter().position(|f| f.name == name))
+            .unwrap_or_else(|| panic!("`cirgps {cmd}` reads undeclared flag --{name}"));
+        (&self.cmd.flags[i], self.given[i].as_deref())
+    }
+
+    /// The flag's value as given, else its CLI-owned default.
+    fn get(&self, name: &str) -> Option<&str> {
+        match self.row(name) {
+            (_, Some(v)) => Some(v),
+            (flag, None) => match flag.default {
+                Fallback::Cli(default) => Some(default),
+                Fallback::Unset | Fallback::Lib(_) => None,
+            },
+        }
+    }
+
+    /// Whether the presence flag `name` was given.
+    fn has(&self, name: &str) -> bool {
+        self.row(name).1.is_some()
+    }
+
+    /// [`Args::get`], with absence an error naming the flag.
+    fn text(&self, name: &str) -> Result<&str, String> {
+        self.get(name)
+            .ok_or_else(|| format!("--{name} is required"))
+    }
+
+    /// [`Args::text`] parsed as `T`.
+    fn value<T: FromStr>(&self, name: &str) -> Result<T, String> {
+        let s = self.text(name)?;
+        s.parse().map_err(|_| format!("bad --{name} {s:?}"))
+    }
+
+    /// The flag's value parsed as `T`, or `fallback` — a library
+    /// config's default — when it is absent.
+    fn value_or<T: FromStr>(&self, name: &str, fallback: T) -> Result<T, String> {
+        match self.get(name) {
+            Some(_) => self.value(name),
+            None => Ok(fallback),
+        }
+    }
+}
+
+/// Help output width in columns.
+const WIDTH: usize = 80;
+
+/// Renders `cirgps help` from [`COMMANDS`]: per command a synopsis, its
+/// description and one line per flag with its default.
+fn usage() -> String {
+    let mut out = String::from("cirgps — few-shot parasitic prediction pipeline\n\nUSAGE:\n");
+    for cmd in COMMANDS {
+        out.push_str(&format!("\n  cirgps {}", cmd.name));
+        let synopsis = cmd.flags.iter().map(|f| format!("[{}]", f.usage()));
+        wrap(&mut out, cmd.name.len() + 10, synopsis);
+        out.push_str("      ");
+        wrap(&mut out, 6, cmd.about.split_whitespace());
+        for f in cmd.flags {
+            let default = match f.default {
+                Fallback::Cli(d) | Fallback::Lib(d) => format!(" (default {d})"),
+                Fallback::Unset => String::new(),
+            };
+            out.push_str(&format!("        {:<23} {}{default}\n", f.usage(), f.help));
+        }
+    }
+    out.pop();
+    out
+}
+
+/// Appends `words` to the last line of `out`, breaking lines at
+/// [`WIDTH`] onto continuation lines indented by `indent`, and ends
+/// the line. A line that ends in a space takes the next word as is.
+fn wrap<S: AsRef<str>>(out: &mut String, indent: usize, words: impl IntoIterator<Item = S>) {
+    for word in words {
+        let word = word.as_ref();
+        let line = out.rsplit('\n').next().unwrap_or("");
+        if !line.ends_with(' ') {
+            if line.chars().count() + 1 + word.chars().count() > WIDTH {
+                out.push('\n');
+                out.push_str(&" ".repeat(indent));
+            } else {
+                out.push(' ');
+            }
+        }
+        out.push_str(word);
+    }
+    out.push('\n');
 }
 
 fn design_kind(name: &str) -> Result<DesignKind, String> {
@@ -353,98 +543,62 @@ fn design_kind(name: &str) -> Result<DesignKind, String> {
     })
 }
 
-fn preset(flags: &HashMap<String, String>) -> Result<SizePreset, String> {
-    Ok(
-        match flags.get("preset").map(String::as_str).unwrap_or("tiny") {
-            "tiny" => SizePreset::Tiny,
-            "small" => SizePreset::Small,
-            "paper" => SizePreset::Paper,
-            other => return Err(format!("unknown preset {other:?}")),
-        },
-    )
+fn preset(name: &str) -> Result<SizePreset, String> {
+    Ok(match name {
+        "tiny" => SizePreset::Tiny,
+        "small" => SizePreset::Small,
+        "paper" => SizePreset::Paper,
+        other => return Err(format!("unknown preset {other:?}")),
+    })
 }
 
-fn seed(flags: &HashMap<String, String>) -> Result<u64, String> {
-    flag_parse(flags, "seed", 7)
-}
-
-/// Parses an optional `--name value` flag, falling back to `default`
-/// when absent. The value type is inferred from the default.
-fn flag_parse<T: std::str::FromStr>(
-    flags: &HashMap<String, String>,
-    name: &str,
-    default: T,
-) -> Result<T, String> {
-    flags
-        .get(name)
-        .map(|s| s.parse().map_err(|_| format!("bad --{name} {s:?}")))
-        .unwrap_or(Ok(default))
-}
-
-fn load_netlist(flags: &HashMap<String, String>) -> Result<Netlist, String> {
-    let path = flags.get("netlist").ok_or("--netlist is required")?;
-    let top = flags.get("top").ok_or("--top is required")?;
+fn load_netlist(args: &Args) -> Result<Netlist, String> {
+    let path = args.text("netlist")?;
+    let top = args.text("top")?;
     let text = fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     let file = SpiceFile::parse(&text).map_err(|e| e.to_string())?;
     file.flatten(top).map_err(|e| e.to_string())
 }
 
-fn load_spf(flags: &HashMap<String, String>) -> Result<SpfFile, String> {
-    let path = flags.get("spf").ok_or("--spf is required")?;
+fn load_spf(args: &Args) -> Result<SpfFile, String> {
+    let path = args.text("spf")?;
     let text = fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     SpfFile::parse(&text).map_err(|e| e.to_string())
 }
 
-/// Presence-style boolean flag: `--name` (no value) or `--name true`.
-fn flag_bool(flags: &HashMap<String, String>, name: &str) -> Result<bool, String> {
-    match flags.get(name).map(String::as_str) {
-        None | Some("false") => Ok(false),
-        Some("") | Some("true") => Ok(true),
-        Some(other) => Err(format!(
-            "bad --{name} {other:?} (a presence flag; give it no value)"
-        )),
+/// Enumerates a `--grammar` corpus in memory (no files involved); no
+/// spec means no designs.
+fn grammar_corpus(spec: Option<&str>, seed: u64) -> Result<Vec<CorpusDesign>, String> {
+    let Some(spec) = spec else {
+        return Ok(Vec::new());
+    };
+    let spec = CorpusSpec::parse(spec)?;
+    let corpus = spec.load(seed);
+    if corpus.len() < spec.count {
+        return Err(format!(
+            "--grammar window holds only {} design(s), asked for {} (widen the size bounds)",
+            corpus.len(),
+            spec.count
+        ));
     }
-}
-
-/// One parsed training/evaluation design: flattened netlist + SPF join.
-struct DesignPair {
-    netlist: Netlist,
-    spf: SpfFile,
+    Ok(corpus)
 }
 
 /// Loads the `--netlist`/`--top`/`--spf` comma-separated design lists
-/// (aligned by position) used by the training subcommands, plus any
-/// `--grammar` corpus (enumerated in memory, no files involved).
-fn load_design_pairs(flags: &HashMap<String, String>) -> Result<Vec<DesignPair>, String> {
-    let grammar = match flags.get("grammar") {
-        Some(spec) => {
-            let spec = CorpusSpec::parse(spec)?;
-            let corpus = spec.load(seed(flags)?);
-            if corpus.len() < spec.count {
-                return Err(format!(
-                    "--grammar window holds only {} design(s), asked for {} (widen the \
-                     size bounds)",
-                    corpus.len(),
-                    spec.count
-                ));
-            }
-            corpus
-        }
-        None => Vec::new(),
-    };
+/// (aligned by position) used by the training subcommands, followed by
+/// the `grammar` corpus designs.
+fn load_design_pairs(args: &Args, grammar: Vec<CorpusDesign>) -> Result<Vec<CorpusDesign>, String> {
     let split = |name: &str| -> Result<Vec<String>, String> {
-        let listed = flags.get(name).map(String::as_str).unwrap_or("");
-        if listed.is_empty() && !grammar.is_empty() {
-            return Ok(Vec::new());
+        match args.get(name) {
+            Some(list) => Ok(list
+                .split(',')
+                .map(str::trim)
+                .filter(|s| !s.is_empty())
+                .map(String::from)
+                .collect()),
+            None if !grammar.is_empty() => Ok(Vec::new()),
+            None => Err(format!("--{name} is required (or use --grammar)")),
         }
-        Ok(flags
-            .get(name)
-            .ok_or(format!("--{name} is required (or use --grammar)"))?
-            .split(',')
-            .map(str::trim)
-            .filter(|s| !s.is_empty())
-            .map(String::from)
-            .collect())
     };
     let netlists = split("netlist")?;
     let tops = split("top")?;
@@ -467,14 +621,10 @@ fn load_design_pairs(flags: &HashMap<String, String>) -> Result<Vec<DesignPair>,
         let netlist = file.flatten(top).map_err(|e| format!("{path}: {e}"))?;
         let text = fs::read_to_string(spf_path).map_err(|e| format!("reading {spf_path}: {e}"))?;
         let spf = SpfFile::parse(&text).map_err(|e| format!("{spf_path}: {e}"))?;
-        pairs.push(DesignPair { netlist, spf });
+        let name = netlist.name.clone();
+        pairs.push(CorpusDesign { name, netlist, spf });
     }
-    for d in grammar {
-        pairs.push(DesignPair {
-            netlist: d.netlist,
-            spf: d.spf,
-        });
-    }
+    pairs.extend(grammar);
     Ok(pairs)
 }
 
@@ -483,7 +633,7 @@ fn load_design_pairs(flags: &HashMap<String, String>) -> Result<Vec<DesignPair>,
 /// *all* graphs (so circuit statistics share one scale), capacitance
 /// targets encoded with the paper's log-range normalizer.
 fn build_link_samples(
-    pairs: &[DesignPair],
+    pairs: &[CorpusDesign],
     per_type: usize,
     pe: cirgps::pe::PeKind,
 ) -> Result<(Vec<String>, Vec<PreparedSample>), String> {
@@ -524,31 +674,19 @@ fn build_link_samples(
 /// Applies `--quantize` before a checkpoint export: rounds every
 /// quantizable weight in place to its int8 grid, so the saved f32 file
 /// holds exactly the weights every later command computes with.
-fn apply_quantize_flag(
-    flags: &HashMap<String, String>,
-    model: &mut CircuitGps,
-) -> Result<(), String> {
-    if flag_bool(flags, "quantize")? {
+fn apply_quantize_flag(args: &Args, model: &mut CircuitGps) {
+    if args.has("quantize") {
         let n = model.store_mut().quantize_int8();
         eprintln!("rounded {n} weight tensors to their int8 grid for export (per-tensor scales)");
     }
-    Ok(())
 }
 
-/// Loads a checkpoint file via the self-describing container, printing a
-/// deprecation warning when the file is a legacy raw weight dump.
+/// Loads a checkpoint file via the self-describing container.
 fn load_checkpoint_file(path: &str) -> Result<CircuitGps, String> {
     let f = fs::File::open(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let (model, fmt) = CircuitGps::load_checkpoint(std::io::BufReader::new(f))
-        .map_err(|e| format!("loading checkpoint {path}: {e}"))?;
-    if fmt == CheckpointFormat::Legacy {
-        eprintln!(
-            "warning: {path} is a legacy raw weight dump (deprecated); the model config is \
-             assumed to be the default. Re-save it as a self-describing checkpoint, e.g. by \
-             re-running `cirgps pretrain`/`finetune` (see docs/checkpoint-format.md)."
-        );
-    }
-    Ok(model)
+    CircuitGps::load_checkpoint(std::io::BufReader::new(f))
+        .map(|(model, _)| model)
+        .map_err(|e| format!("loading checkpoint {path}: {e}"))
 }
 
 /// Serializes a checkpoint (optionally with a resumable-training-state
@@ -568,8 +706,7 @@ fn save_checkpoint_bytes(
         None => model.save_checkpoint(&mut bytes),
     };
     result.map_err(|e| format!("serializing checkpoint {path}: {e}"))?;
-    write_atomic(std::path::Path::new(path), &bytes)
-        .map_err(|e| format!("writing checkpoint {path}: {e}"))
+    write_atomic(Path::new(path), &bytes).map_err(|e| format!("writing checkpoint {path}: {e}"))
 }
 
 fn save_checkpoint_file(model: &CircuitGps, path: &str) -> Result<(), String> {
@@ -653,7 +790,7 @@ fn json_str_list(items: &[String]) -> String {
 /// Assembles and optionally writes the `--metrics-out` JSON training
 /// log: per-epoch loss records, periodic eval records, final metrics.
 fn write_metrics_log(
-    flags: &HashMap<String, String>,
+    args: &Args,
     command: &str,
     designs: &[String],
     epoch_lines: &[String],
@@ -661,7 +798,7 @@ fn write_metrics_log(
     final_json: &str,
     seconds: f64,
 ) -> Result<(), String> {
-    let Some(path) = flags.get("metrics-out") else {
+    let Some(path) = args.get("metrics-out") else {
         return Ok(());
     };
     let log = format!(
@@ -673,69 +810,39 @@ fn write_metrics_log(
     );
     // Atomic + durable: a crash mid-write must not leave torn JSON for
     // downstream tooling to choke on.
-    write_atomic(std::path::Path::new(path), log.as_bytes())
-        .map_err(|e| format!("writing {path}: {e}"))
+    write_atomic(Path::new(path), log.as_bytes()).map_err(|e| format!("writing {path}: {e}"))
 }
 
-fn cmd_pretrain(flags: &HashMap<String, String>) -> Result<(), String> {
-    check_flags(
-        flags,
-        "pretrain",
-        &[
-            "netlist",
-            "top",
-            "spf",
-            "grammar",
-            "per-type",
-            "epochs",
-            "batch-size",
-            "lr",
-            "seed",
-            "hidden-dim",
-            "layers",
-            "heads",
-            "pe-dim",
-            "dropout",
-            "holdout",
-            "eval-every",
-            "checkpoint-every",
-            "resume",
-            "quantize",
-            "metrics-out",
-            "out",
-        ],
-    )?;
-    let out = flags
-        .get("out")
-        .ok_or("--out is required (checkpoint path to write)")?;
-    let checkpoint_every = flag_parse(flags, "checkpoint-every", 0usize)?;
-    let resume = flag_bool(flags, "resume")?;
-    let per_type = flag_parse(flags, "per-type", 200)?;
-    let holdout_pct = flag_parse(flags, "holdout", 10)?;
+fn cmd_pretrain(args: &Args) -> Result<(), String> {
+    let out = args.text("out")?;
+    let checkpoint_every: usize = args.value("checkpoint-every")?;
+    let resume = args.has("resume");
+    let per_type = args.value("per-type")?;
+    let holdout_pct = args.value("holdout")?;
     if holdout_pct > 50 {
         return Err(format!(
             "--holdout {holdout_pct} must be 0..=50 (percent of samples held out)"
         ));
     }
-    let eval_every = flag_parse(flags, "eval-every", 0)?;
-    let run_seed = seed(flags)?;
+    let eval_every: usize = args.value("eval-every")?;
+    let run_seed = args.value("seed")?;
 
     let defaults = ModelConfig::default();
     let mc = ModelConfig {
-        hidden_dim: flag_parse(flags, "hidden-dim", defaults.hidden_dim)?,
-        num_layers: flag_parse(flags, "layers", defaults.num_layers)?,
-        heads: flag_parse(flags, "heads", defaults.heads)?,
-        pe_dim: flag_parse(flags, "pe-dim", defaults.pe_dim)?,
-        dropout: flag_parse(flags, "dropout", defaults.dropout)?,
+        hidden_dim: args.value_or("hidden-dim", defaults.hidden_dim)?,
+        num_layers: args.value_or("layers", defaults.num_layers)?,
+        heads: args.value_or("heads", defaults.heads)?,
+        pe_dim: args.value_or("pe-dim", defaults.pe_dim)?,
+        dropout: args.value_or("dropout", defaults.dropout)?,
         seed: run_seed,
         ..defaults
     };
     mc.check()
         .map_err(|e| format!("invalid model config: {e}"))?;
     let tc = TrainConfig {
-        epochs: flag_parse(flags, "epochs", 30)?,
-        batch_size: flag_parse(flags, "batch-size", 32)?,
-        lr: flag_parse(flags, "lr", 1e-3)?,
+        epochs: args.value("epochs")?,
+        batch_size: args.value("batch-size")?,
+        lr: args.value("lr")?,
         seed: run_seed,
         ..Default::default()
     };
@@ -775,7 +882,7 @@ fn cmd_pretrain(flags: &HashMap<String, String>) -> Result<(), String> {
         (CircuitGps::new(mc), None)
     };
 
-    let pairs = load_design_pairs(flags)?;
+    let pairs = load_design_pairs(args, grammar_corpus(args.get("grammar"), run_seed)?)?;
     let (designs, samples) = build_link_samples(&pairs, per_type, model.cfg.pe)?;
     let (train_set, holdout) = split_holdout(samples, holdout_pct);
     eprintln!(
@@ -886,7 +993,7 @@ fn cmd_pretrain(flags: &HashMap<String, String>) -> Result<(), String> {
         lm.accuracy, lm.f1, lm.auc
     );
     write_metrics_log(
-        flags,
+        args,
         "pretrain",
         &designs,
         &epoch_lines,
@@ -894,7 +1001,7 @@ fn cmd_pretrain(flags: &HashMap<String, String>) -> Result<(), String> {
         &json_link(&lm),
         hist.seconds,
     )?;
-    apply_quantize_flag(flags, &mut model)?;
+    apply_quantize_flag(args, &mut model);
     save_checkpoint_file(&model, out)?;
     println!(
         "wrote {out}: {} trainable params, {} epochs, final loss {:.4}, {final_label} AUC {:.3}",
@@ -906,46 +1013,21 @@ fn cmd_pretrain(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_finetune(flags: &HashMap<String, String>) -> Result<(), String> {
-    check_flags(
-        flags,
-        "finetune",
-        &[
-            "model",
-            "netlist",
-            "top",
-            "spf",
-            "shots",
-            "unfreeze-all",
-            "per-type",
-            "epochs",
-            "batch-size",
-            "lr",
-            "seed",
-            "eval-every",
-            "quantize",
-            "metrics-out",
-            "out",
-        ],
-    )?;
-    let out = flags
-        .get("out")
-        .ok_or("--out is required (checkpoint path to write)")?;
-    let model_path = flags
-        .get("model")
-        .ok_or("--model is required (a pretrained checkpoint)")?;
-    let shots = flag_parse(flags, "shots", 0)?;
+fn cmd_finetune(args: &Args) -> Result<(), String> {
+    let out = args.text("out")?;
+    let model_path = args.text("model")?;
+    let shots = args.value("shots")?;
     if shots == 0 {
-        return Err("--shots is required (labeled pairs to fine-tune on, >= 1)".into());
+        return Err("--shots must be >= 1 (labeled pairs to fine-tune on)".into());
     }
-    let unfreeze_all = flag_bool(flags, "unfreeze-all")?;
-    let per_type = flag_parse(flags, "per-type", 200)?;
-    let eval_every = flag_parse(flags, "eval-every", 0)?;
+    let unfreeze_all = args.has("unfreeze-all");
+    let per_type = args.value("per-type")?;
+    let eval_every: usize = args.value("eval-every")?;
     let tc = TrainConfig {
-        epochs: flag_parse(flags, "epochs", 50)?,
-        batch_size: flag_parse(flags, "batch-size", 8)?,
-        lr: flag_parse(flags, "lr", 1e-3)?,
-        seed: seed(flags)?,
+        epochs: args.value("epochs")?,
+        batch_size: args.value("batch-size")?,
+        lr: args.value("lr")?,
+        seed: args.value("seed")?,
         ..Default::default()
     };
     if tc.epochs == 0 || tc.batch_size == 0 {
@@ -953,7 +1035,7 @@ fn cmd_finetune(flags: &HashMap<String, String>) -> Result<(), String> {
     }
 
     let mut model = load_checkpoint_file(model_path)?;
-    let pairs = load_design_pairs(flags)?;
+    let pairs = load_design_pairs(args, Vec::new())?;
     let (designs, samples) = build_link_samples(&pairs, per_type, model.cfg.pe)?;
 
     // Few-shot selection: only positives carry capacitance labels. The
@@ -1020,7 +1102,7 @@ fn cmd_finetune(flags: &HashMap<String, String>) -> Result<(), String> {
         rm.mae, rm.rmse, rm.r2
     );
     write_metrics_log(
-        flags,
+        args,
         "finetune",
         &designs,
         &epoch_lines,
@@ -1028,7 +1110,7 @@ fn cmd_finetune(flags: &HashMap<String, String>) -> Result<(), String> {
         &json_reg(&rm),
         hist.seconds,
     )?;
-    apply_quantize_flag(flags, &mut model)?;
+    apply_quantize_flag(args, &mut model);
     save_checkpoint_file(&model, out)?;
     println!(
         "wrote {out}: fine-tuned on {} shots ({} mode), holdout MAE {:.4}",
@@ -1039,24 +1121,18 @@ fn cmd_finetune(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_eval(flags: &HashMap<String, String>) -> Result<(), String> {
-    check_flags(
-        flags,
-        "eval",
-        &[
-            "model", "netlist", "top", "spf", "grammar", "task", "per-type",
-        ],
-    )?;
-    let model_path = flags.get("model").ok_or("--model is required")?;
-    let per_type = flag_parse(flags, "per-type", 200)?;
-    let task = flags.get("task").map(String::as_str).unwrap_or("both");
+fn cmd_eval(args: &Args) -> Result<(), String> {
+    let model_path = args.text("model")?;
+    let per_type = args.value("per-type")?;
+    let task = args.text("task")?;
     if !matches!(task, "link" | "cap" | "both") {
         return Err(format!(
             "unknown --task {task:?} (expected link, cap or both)"
         ));
     }
     let model = load_checkpoint_file(model_path)?;
-    let pairs = load_design_pairs(flags)?;
+    let grammar = grammar_corpus(args.get("grammar"), EVAL_CORPUS_SEED)?;
+    let pairs = load_design_pairs(args, grammar)?;
     let (designs, samples) = build_link_samples(&pairs, per_type, model.cfg.pe)?;
     let positives: Vec<PreparedSample> =
         samples.iter().filter(|s| s.label > 0.5).cloned().collect();
@@ -1081,14 +1157,14 @@ fn cmd_eval(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_gen(flags: &HashMap<String, String>) -> Result<(), String> {
-    check_flags(flags, "gen", &["kind", "preset", "seed", "out"])?;
-    let kind = design_kind(flags.get("kind").ok_or("--kind is required")?)?;
-    let out_dir = std::path::PathBuf::from(flags.get("out").cloned().unwrap_or_else(|| ".".into()));
+fn cmd_gen(args: &Args) -> Result<(), String> {
+    let kind = design_kind(args.text("kind")?)?;
+    let out_dir = Path::new(args.text("out")?);
     let (design, spf) =
-        generate_with_parasitics(kind, preset(flags)?, seed(flags)?).map_err(|e| e.to_string())?;
+        generate_with_parasitics(kind, preset(args.text("preset")?)?, args.value("seed")?)
+            .map_err(|e| e.to_string())?;
     let (sp_path, spf_path) =
-        write_design_pair(&out_dir, &design, &spf).map_err(|e| e.to_string())?;
+        write_design_pair(out_dir, &design, &spf).map_err(|e| e.to_string())?;
     println!(
         "wrote {} ({} devices flattened) and {} ({} ground + {} coupling caps)",
         sp_path.display(),
@@ -1100,25 +1176,18 @@ fn cmd_gen(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_datagen(flags: &HashMap<String, String>) -> Result<(), String> {
-    check_flags(
-        flags,
-        "datagen",
-        &[
-            "family", "seed", "max-size", "min-size", "count", "out", "threads", "list",
-        ],
-    )?;
-    let family = match flags.get("family").map(String::as_str).unwrap_or("all") {
+fn cmd_datagen(args: &Args) -> Result<(), String> {
+    let family = match args.text("family")? {
         "all" => None,
         name => Some(Family::parse(name).ok_or_else(|| {
             format!("unknown --family {name:?} (expected all, chain, tree, bus, fabric, array or sandwich)")
         })?),
     };
-    let run_seed = seed(flags)?;
-    let max_size: u64 = flag_parse(flags, "max-size", 4_000)?;
-    let min_size: u64 = flag_parse(flags, "min-size", 0)?;
-    let count: usize = flag_parse(flags, "count", 0)?;
-    let threads: usize = flag_parse(flags, "threads", 1)?;
+    let run_seed = args.value("seed")?;
+    let max_size: u64 = args.value("max-size")?;
+    let min_size: u64 = args.value("min-size")?;
+    let count: usize = args.value("count")?;
+    let threads: usize = args.value("threads")?;
     if threads == 0 {
         return Err("--threads must be positive".into());
     }
@@ -1132,7 +1201,7 @@ fn cmd_datagen(flags: &HashMap<String, String>) -> Result<(), String> {
             "no designs in the size window [{min_size}, {max_size}]"
         ));
     }
-    if flag_bool(flags, "list")? {
+    if args.has("list") {
         for t in &terms {
             println!("{}\t{}\t{}", t.name(), t.family().name(), t.size_estimate());
         }
@@ -1140,7 +1209,7 @@ fn cmd_datagen(flags: &HashMap<String, String>) -> Result<(), String> {
         return Ok(());
     }
 
-    let out_dir = std::path::PathBuf::from(flags.get("out").cloned().unwrap_or_else(|| ".".into()));
+    let out_dir = Path::new(args.text("out")?);
     let start = std::time::Instant::now();
 
     // Work-stealing over the canonically sorted term list. Every design's
@@ -1180,7 +1249,7 @@ fn cmd_datagen(flags: &HashMap<String, String>) -> Result<(), String> {
                         ..Default::default()
                     },
                 );
-                if let Err(e) = write_design_pair(&out_dir, &design, &spf) {
+                if let Err(e) = write_design_pair(out_dir, &design, &spf) {
                     *failure.lock().unwrap() = Some(format!("writing {}: {e}", term.name()));
                     return;
                 }
@@ -1216,9 +1285,8 @@ fn cmd_datagen(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_stats(flags: &HashMap<String, String>) -> Result<(), String> {
-    check_flags(flags, "stats", &["netlist", "top"])?;
-    let netlist = load_netlist(flags)?;
+fn cmd_stats(args: &Args) -> Result<(), String> {
+    let netlist = load_netlist(args)?;
     let (graph, _) = netlist_to_graph(&netlist);
     println!("{}", GraphStats::of(&netlist.name, &graph));
     println!("transistors: {}", netlist.transistor_count());
@@ -1238,11 +1306,10 @@ fn cmd_stats(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_sample(flags: &HashMap<String, String>) -> Result<(), String> {
-    check_flags(flags, "sample", &["netlist", "top", "spf", "per-type"])?;
-    let netlist = load_netlist(flags)?;
-    let spf = load_spf(flags)?;
-    let per_type: usize = flag_parse(flags, "per-type", 200)?;
+fn cmd_sample(args: &Args) -> Result<(), String> {
+    let netlist = load_netlist(args)?;
+    let spf = load_spf(args)?;
+    let per_type: usize = args.value("per-type")?;
     let (graph, map) = netlist_to_graph(&netlist);
     let ds = LinkDataset::build(
         &netlist.name,
@@ -1269,29 +1336,15 @@ fn cmd_sample(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_predict(flags: &HashMap<String, String>) -> Result<(), String> {
-    check_flags(
-        flags,
-        "predict",
-        &[
-            "netlist",
-            "top",
-            "spf",
-            "task",
-            "batch-size",
-            "per-type",
-            "model",
-            "out",
-        ],
-    )?;
-    let netlist = load_netlist(flags)?;
-    let spf = load_spf(flags)?;
-    let per_type: usize = flag_parse(flags, "per-type", 200)?;
-    let batch_size: usize = flag_parse(flags, "batch-size", 32)?;
+fn cmd_predict(args: &Args) -> Result<(), String> {
+    let netlist = load_netlist(args)?;
+    let spf = load_spf(args)?;
+    let per_type: usize = args.value("per-type")?;
+    let batch_size: usize = args.value("batch-size")?;
     if batch_size == 0 {
         return Err("--batch-size must be positive".into());
     }
-    let task = flags.get("task").map(String::as_str).unwrap_or("link");
+    let task = args.text("task")?;
     if !matches!(task, "link" | "cap") {
         return Err(format!("unknown --task {task:?} (expected link or cap)"));
     }
@@ -1309,7 +1362,7 @@ fn cmd_predict(flags: &HashMap<String, String>) -> Result<(), String> {
         },
     );
 
-    let model = match flags.get("model") {
+    let model = match args.get("model") {
         Some(path) => load_checkpoint_file(path)?,
         None => CircuitGps::new(ModelConfig::default()),
     };
@@ -1354,8 +1407,11 @@ fn cmd_predict(flags: &HashMap<String, String>) -> Result<(), String> {
             extra
         ));
     }
-    match flags.get("out") {
-        Some(path) => fs::write(path, &lines).map_err(|e| format!("writing {path}: {e}"))?,
+    // Atomic + durable, like every other file the CLI writes whole: a
+    // crash mid-write must not leave a torn prediction file.
+    match args.get("out") {
+        Some(path) => write_atomic(Path::new(path), lines.as_bytes())
+            .map_err(|e| format!("writing {path}: {e}"))?,
         None => print!("{lines}"),
     }
     let (hits, misses) = session.cache_stats();
@@ -1407,49 +1463,32 @@ fn parse_pairs_file(path: &str, graph: &CircuitGraph) -> Result<Vec<(u32, u32)>,
     Ok(pairs)
 }
 
-fn cmd_sweep(flags: &HashMap<String, String>) -> Result<(), String> {
-    check_flags(
-        flags,
-        "sweep",
-        &[
-            "netlist",
-            "top",
-            "model",
-            "task",
-            "pairs",
-            "per-node-cap",
-            "max-pairs",
-            "chunk",
-            "threads",
-            "format",
-            "out",
-        ],
-    )?;
-    let netlist = load_netlist(flags)?;
-    let task = match flags.get("task").map(String::as_str).unwrap_or("link") {
+fn cmd_sweep(args: &Args) -> Result<(), String> {
+    let netlist = load_netlist(args)?;
+    let task = match args.text("task")? {
         "link" => SweepTask::Link,
         "cap" => SweepTask::Coupling,
         other => return Err(format!("unknown --task {other:?} (expected link or cap)")),
     };
-    let format = flags.get("format").map(String::as_str).unwrap_or("jsonl");
+    let format = args.text("format")?;
     if !matches!(format, "jsonl" | "csv") {
         return Err(format!(
             "unknown --format {format:?} (expected jsonl or csv)"
         ));
     }
-    let chunk: usize = flag_parse(flags, "chunk", 4096)?;
+    let chunk: usize = args.value("chunk")?;
     if chunk == 0 {
         return Err("--chunk must be positive".into());
     }
-    let threads: usize = flag_parse(flags, "threads", 1)?;
+    let threads: usize = args.value("threads")?;
     if threads == 0 {
         return Err("--threads must be positive".into());
     }
-    let per_node_cap: usize = flag_parse(flags, "per-node-cap", 0)?;
-    let max_pairs: usize = flag_parse(flags, "max-pairs", 0)?;
+    let per_node_cap: usize = args.value("per-node-cap")?;
+    let max_pairs: usize = args.value("max-pairs")?;
 
     let (graph, _map) = netlist_to_graph(&netlist);
-    let model = match flags.get("model") {
+    let model = match args.get("model") {
         Some(path) => load_checkpoint_file(path)?,
         None => CircuitGps::new(ModelConfig::default()),
     };
@@ -1467,13 +1506,13 @@ fn cmd_sweep(flags: &HashMap<String, String>) -> Result<(), String> {
         threads,
     };
 
-    let explicit = match flags.get("pairs") {
+    let explicit = match args.get("pairs") {
         Some(path) => Some(parse_pairs_file(path, &graph)?),
         None => None,
     };
 
     use std::io::Write as _;
-    let mut writer: Box<dyn std::io::Write> = match flags.get("out") {
+    let mut writer: Box<dyn std::io::Write> = match args.get("out") {
         Some(path) => Box::new(std::io::BufWriter::new(
             fs::File::create(path).map_err(|e| format!("creating {path}: {e}"))?,
         )),
@@ -1562,91 +1601,62 @@ fn cmd_sweep(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
-    check_flags(
-        flags,
-        "serve",
-        &[
-            "netlist",
-            "top",
-            "model",
-            "addr",
-            "max-batch",
-            "max-wait-us",
-            "workers",
-            "queue-cap",
-            "cache-cap",
-            "drain-timeout-ms",
-            "request-timeout-ms",
-            "max-body-bytes",
-            "max-headers",
-            "idle-timeout-ms",
-            "ingress-timeout-ms",
-            "max-conns",
-        ],
-    )?;
+fn cmd_serve(args: &Args) -> Result<(), String> {
     let defaults = ServeConfig::default();
-    let max_batch = flag_parse(flags, "max-batch", defaults.max_batch)?;
-    let max_wait_us = flag_parse(flags, "max-wait-us", defaults.max_wait.as_micros() as usize)?;
-    let workers = flag_parse(flags, "workers", defaults.workers)?;
-    let queue_cap = flag_parse(flags, "queue-cap", defaults.queue_capacity)?;
-    let cache_cap = flag_parse(flags, "cache-cap", defaults.cache_capacity)?;
-    let drain_timeout_ms = flag_parse(
-        flags,
-        "drain-timeout-ms",
-        defaults.drain_timeout.as_millis() as u64,
-    )?;
-    let request_timeout_ms = flag_parse(
-        flags,
-        "request-timeout-ms",
-        defaults.request_timeout.as_millis() as u64,
-    )?;
-    let max_body_bytes = flag_parse(flags, "max-body-bytes", defaults.max_body_bytes)?;
-    let max_headers = flag_parse(flags, "max-headers", defaults.max_headers)?;
-    let idle_timeout_ms = flag_parse(
-        flags,
-        "idle-timeout-ms",
-        defaults.idle_timeout.as_millis() as u64,
-    )?;
-    let ingress_timeout_ms = flag_parse(
-        flags,
-        "ingress-timeout-ms",
-        defaults.ingress_timeout.as_millis() as u64,
-    )?;
-    let max_conns = flag_parse(flags, "max-conns", defaults.max_connections)?;
-    if request_timeout_ms == 0 {
+    let ms = |name: &str, fallback: Duration| -> Result<Duration, String> {
+        Ok(Duration::from_millis(
+            args.value_or(name, fallback.as_millis() as u64)?,
+        ))
+    };
+    let max_wait_us = args.value_or("max-wait-us", defaults.max_wait.as_micros() as u64)?;
+    let cfg = ServeConfig {
+        max_batch: args.value_or("max-batch", defaults.max_batch)?,
+        max_wait: Duration::from_micros(max_wait_us),
+        workers: args.value_or("workers", defaults.workers)?,
+        queue_capacity: args.value_or("queue-cap", defaults.queue_capacity)?,
+        cache_capacity: args.value_or("cache-cap", defaults.cache_capacity)?,
+        drain_timeout: ms("drain-timeout-ms", defaults.drain_timeout)?,
+        request_timeout: ms("request-timeout-ms", defaults.request_timeout)?,
+        max_body_bytes: args.value_or("max-body-bytes", defaults.max_body_bytes)?,
+        max_headers: args.value_or("max-headers", defaults.max_headers)?,
+        idle_timeout: ms("idle-timeout-ms", defaults.idle_timeout)?,
+        ingress_timeout: ms("ingress-timeout-ms", defaults.ingress_timeout)?,
+        max_connections: args.value_or("max-conns", defaults.max_connections)?,
+        ..defaults
+    };
+    let (max_batch, workers) = (cfg.max_batch, cfg.workers);
+    if cfg.request_timeout.is_zero() {
         return Err("--request-timeout-ms must be positive".into());
     }
-    if max_body_bytes == 0 || max_headers == 0 {
+    if cfg.max_body_bytes == 0 || cfg.max_headers == 0 {
         return Err("--max-body-bytes and --max-headers must be positive".into());
     }
-    if idle_timeout_ms == 0 || ingress_timeout_ms == 0 {
+    if cfg.idle_timeout.is_zero() || cfg.ingress_timeout.is_zero() {
         return Err("--idle-timeout-ms and --ingress-timeout-ms must be positive".into());
     }
-    if max_conns == 0 {
+    if cfg.max_connections == 0 {
         return Err("--max-conns must be positive".into());
     }
     if max_batch == 0 || workers == 0 {
         return Err("--max-batch and --workers must be positive".into());
     }
-    if queue_cap < max_batch {
+    if cfg.queue_capacity < max_batch {
         return Err(format!(
-            "--queue-cap {queue_cap} must hold at least one batch (--max-batch {max_batch})"
+            "--queue-cap {} must hold at least one batch (--max-batch {max_batch})",
+            cfg.queue_capacity
         ));
     }
-    if cache_cap < max_batch {
+    if cfg.cache_capacity < max_batch {
         return Err(format!(
-            "--cache-cap {cache_cap} must hold at least one batch (--max-batch {max_batch})"
+            "--cache-cap {} must hold at least one batch (--max-batch {max_batch})",
+            cfg.cache_capacity
         ));
     }
-    let addr = flags
-        .get("addr")
-        .cloned()
-        .unwrap_or_else(|| "127.0.0.1:8321".into());
+    let addr = args.text("addr")?;
 
-    let netlist = load_netlist(flags)?;
+    let netlist = load_netlist(args)?;
     let (graph, _map) = netlist_to_graph(&netlist);
-    let model = match flags.get("model") {
+    let model = match args.get("model") {
         Some(path) => load_checkpoint_file(path)?,
         None => {
             eprintln!(
@@ -1662,22 +1672,7 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
         cirgps::nn::Backend::active().name()
     );
 
-    let cfg = ServeConfig {
-        max_batch,
-        max_wait: Duration::from_micros(max_wait_us as u64),
-        workers,
-        queue_capacity: queue_cap,
-        cache_capacity: cache_cap,
-        drain_timeout: Duration::from_millis(drain_timeout_ms),
-        request_timeout: Duration::from_millis(request_timeout_ms),
-        max_body_bytes,
-        max_headers,
-        idle_timeout: Duration::from_millis(idle_timeout_ms),
-        ingress_timeout: Duration::from_millis(ingress_timeout_ms),
-        max_connections: max_conns,
-        ..defaults
-    };
-    let listener = TcpListener::bind(&addr).map_err(|e| format!("binding {addr}: {e}"))?;
+    let listener = TcpListener::bind(addr).map_err(|e| format!("binding {addr}: {e}"))?;
     let local = listener.local_addr().map_err(|e| e.to_string())?;
     eprintln!(
         "cirgps-serve: design {} ({} nodes, {} edges) on http://{local} \
@@ -1689,6 +1684,7 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
     eprintln!(
         "endpoints: GET /healthz, GET /metrics, POST /v1/predict, POST /v1/sweep (docs/serving.md)"
     );
+    let drain_timeout = cfg.drain_timeout;
     let server = Server::new(model, graph, netlist.name.clone(), cfg);
     // SIGINT/SIGTERM → graceful drain: a monitor thread polls the
     // interrupt latch (signal handlers can only flip an atomic) and
@@ -1703,7 +1699,8 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
                 if interrupt::requested() {
                     eprintln!(
                         "cirgps-serve: signal received — draining (answering in-flight work, \
-                         refusing new connections, deadline {drain_timeout_ms} ms)"
+                         refusing new connections, deadline {} ms)",
+                        drain_timeout.as_millis()
                     );
                     server.begin_drain(local);
                     return;
@@ -1718,54 +1715,31 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_client(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_client(args: &Args) -> Result<(), String> {
     use std::io::Write as _;
-    check_flags(
-        flags,
-        "client",
-        &[
-            "addr",
-            "method",
-            "path",
-            "body",
-            "body-file",
-            "retries",
-            "deadline-ms",
-            "seed",
-        ],
-    )?;
-    let addr = flags
-        .get("addr")
-        .cloned()
-        .unwrap_or_else(|| "127.0.0.1:8321".into());
-    let method = flags
-        .get("method")
-        .cloned()
-        .unwrap_or_else(|| "GET".into())
-        .to_ascii_uppercase();
+    let addr = args.text("addr")?;
+    let method = args.text("method")?.to_ascii_uppercase();
     if method != "GET" && method != "POST" {
         return Err(format!("--method must be GET or POST, got {method:?}"));
     }
-    let path = flags
-        .get("path")
-        .cloned()
-        .unwrap_or_else(|| "/healthz".into());
-    let body = match (flags.get("body"), flags.get("body-file")) {
+    let path = args.text("path")?;
+    let body = match (args.get("body"), args.get("body-file")) {
         (Some(_), Some(_)) => return Err("--body and --body-file are exclusive".into()),
-        (Some(b), None) => b.clone().into_bytes(),
+        (Some(b), None) => b.as_bytes().to_vec(),
         (None, Some(f)) => fs::read(f).map_err(|e| format!("reading {f}: {e}"))?,
         (None, None) => Vec::new(),
     };
-    let retries: usize = flag_parse(flags, "retries", 6)?;
-    let deadline_ms: u64 = flag_parse(flags, "deadline-ms", 30_000)?;
+    let defaults = RetryPolicy::default();
+    let retries = args.value_or("retries", defaults.max_attempts)?;
+    let deadline_ms = args.value_or("deadline-ms", defaults.deadline.as_millis() as u64)?;
     if retries == 0 || deadline_ms == 0 {
         return Err("--retries and --deadline-ms must be positive".into());
     }
-    let seed: u64 = flag_parse(flags, "seed", 0x5eed)?;
+    let seed: u64 = args.value("seed")?;
     let policy = RetryPolicy {
         max_attempts: retries,
         deadline: Duration::from_millis(deadline_ms),
-        ..RetryPolicy::default()
+        ..defaults
     };
     let mut client = Client::new(addr).with_policy(policy).with_seed(seed);
 
@@ -1776,7 +1750,7 @@ fn cmd_client(flags: &HashMap<String, String>) -> Result<(), String> {
         let mut out = stdout.lock();
         let mut write_ok = true;
         let status = client
-            .post_stream(&path, &body, &mut |chunk| {
+            .post_stream(path, &body, &mut |chunk| {
                 write_ok = out.write_all(chunk).is_ok() && out.flush().is_ok();
                 write_ok
             })
@@ -1791,8 +1765,8 @@ fn cmd_client(flags: &HashMap<String, String>) -> Result<(), String> {
     }
 
     let resp = match method.as_str() {
-        "GET" => client.get(&path),
-        _ => client.post(&path, &body),
+        "GET" => client.get(path),
+        _ => client.post(path, &body),
     }
     .map_err(|e| e.to_string())?;
     let mut stdout = std::io::stdout().lock();
@@ -1812,19 +1786,14 @@ fn cmd_client(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_energy(flags: &HashMap<String, String>) -> Result<(), String> {
-    check_flags(
-        flags,
-        "energy",
-        &["netlist", "top", "spf", "vectors", "vdd", "seed"],
-    )?;
-    let netlist = load_netlist(flags)?;
-    let spf = load_spf(flags)?;
-    let vectors: usize = flag_parse(flags, "vectors", 32)?;
-    let vdd: f64 = flag_parse(flags, "vdd", 0.9)?;
+fn cmd_energy(args: &Args) -> Result<(), String> {
+    let netlist = load_netlist(args)?;
+    let spf = load_spf(args)?;
+    let vectors: usize = args.value("vectors")?;
+    let vdd: f64 = args.value("vdd")?;
     let caps = net_capacitances(&netlist, &spf);
     let total_cap: f64 = caps.iter().sum();
-    let result = simulate_energy(&netlist, &caps, vdd, vectors, seed(flags)?);
+    let result = simulate_energy(&netlist, &caps, vdd, vectors, args.value("seed")?);
     println!(
         "total lumped capacitance: {:.3e} F over {} nets",
         total_cap,
@@ -1835,4 +1804,109 @@ fn cmd_energy(flags: &HashMap<String, String>) -> Result<(), String> {
         result.energy, result.vectors, result.total_toggles
     );
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn no_command_declares_a_flag_twice() {
+        for (i, cmd) in COMMANDS.iter().enumerate() {
+            assert!(
+                COMMANDS[..i].iter().all(|c| c.name != cmd.name),
+                "command {} is declared twice",
+                cmd.name
+            );
+            for (j, flag) in cmd.flags.iter().enumerate() {
+                assert!(
+                    cmd.flags[..j].iter().all(|f| f.name != flag.name),
+                    "`cirgps {}` declares --{} twice",
+                    cmd.name,
+                    flag.name
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn library_owned_defaults_match_their_structs() {
+        let serve = ServeConfig::default();
+        let model = ModelConfig::default();
+        let retry = RetryPolicy::default();
+        let pinned = [
+            ("serve", "max-batch", serve.max_batch.to_string()),
+            (
+                "serve",
+                "max-wait-us",
+                serve.max_wait.as_micros().to_string(),
+            ),
+            ("serve", "workers", serve.workers.to_string()),
+            ("serve", "queue-cap", serve.queue_capacity.to_string()),
+            ("serve", "cache-cap", serve.cache_capacity.to_string()),
+            (
+                "serve",
+                "drain-timeout-ms",
+                serve.drain_timeout.as_millis().to_string(),
+            ),
+            (
+                "serve",
+                "request-timeout-ms",
+                serve.request_timeout.as_millis().to_string(),
+            ),
+            ("serve", "max-body-bytes", serve.max_body_bytes.to_string()),
+            ("serve", "max-headers", serve.max_headers.to_string()),
+            (
+                "serve",
+                "idle-timeout-ms",
+                serve.idle_timeout.as_millis().to_string(),
+            ),
+            (
+                "serve",
+                "ingress-timeout-ms",
+                serve.ingress_timeout.as_millis().to_string(),
+            ),
+            ("serve", "max-conns", serve.max_connections.to_string()),
+            ("pretrain", "hidden-dim", model.hidden_dim.to_string()),
+            ("pretrain", "layers", model.num_layers.to_string()),
+            ("pretrain", "heads", model.heads.to_string()),
+            ("pretrain", "pe-dim", model.pe_dim.to_string()),
+            ("pretrain", "dropout", model.dropout.to_string()),
+            ("client", "retries", retry.max_attempts.to_string()),
+            (
+                "client",
+                "deadline-ms",
+                retry.deadline.as_millis().to_string(),
+            ),
+        ];
+        let mut lib_rows = 0;
+        for cmd in COMMANDS {
+            for flag in cmd.flags {
+                let Fallback::Lib(shown) = flag.default else {
+                    continue;
+                };
+                lib_rows += 1;
+                let (_, _, want) = pinned
+                    .iter()
+                    .find(|(c, f, _)| *c == cmd.name && *f == flag.name)
+                    .unwrap_or_else(|| {
+                        panic!("`cirgps {} --{}` is not pinned", cmd.name, flag.name)
+                    });
+                assert_eq!(shown, want, "`cirgps {} --{}`", cmd.name, flag.name);
+            }
+        }
+        assert_eq!(
+            lib_rows,
+            pinned.len(),
+            "a pinned flag lost its library default"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "reads undeclared flag --seed")]
+    fn reading_an_undeclared_flag_panics() {
+        let eval = COMMANDS.iter().find(|c| c.name == "eval").unwrap();
+        let args = Args::parse(eval, &[]).unwrap();
+        let _ = args.get("seed");
+    }
 }

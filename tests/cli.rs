@@ -226,6 +226,54 @@ fn cli_unknown_flags_name_the_failing_flag() {
     assert!(!out.status.success());
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("--queue-cap"), "{err}");
+
+    // Malformed flags fail at parse time, before any work or file I/O.
+    let dir = std::env::temp_dir().join(format!("cirgps_cli_flags_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let ckpt = dir.join("X.ckpt");
+    // A presence flag given a value: no training happens.
+    let out = cirgps()
+        .args([
+            "pretrain",
+            "--grammar",
+            "chain:900:1",
+            "--epochs",
+            "3",
+            "--quantize",
+            "yes",
+            "--out",
+            ckpt.to_str().unwrap(),
+        ])
+        .output()
+        .expect("run");
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("--quantize"), "{err}");
+    assert!(!err.lines().any(|l| l.starts_with("epoch")), "{err}");
+    assert!(!ckpt.exists());
+
+    // A repeated flag.
+    let out = cirgps()
+        .args(["gen", "--kind", "timing", "--seed", "1", "--seed", "2"])
+        .current_dir(&dir)
+        .output()
+        .expect("run");
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("--seed"), "{err}");
+
+    // A valued flag without its value.
+    let out = cirgps()
+        .args(["gen", "--kind", "timing", "--out"])
+        .current_dir(&dir)
+        .output()
+        .expect("run");
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("--out"), "{err}");
+    assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0, "wrote files");
+
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -254,6 +302,77 @@ fn cli_usage_documents_every_subcommand() {
     ] {
         assert!(text.contains(flag), "usage lacks {flag}");
     }
+}
+
+/// Every `cirgps <cmd> … --flag` invocation in the docs uses a flag that
+/// `cirgps --help` lists for that command. The help is generated from
+/// the CLI's command table, so it is the authoritative flag list.
+#[test]
+fn cli_docs_use_only_accepted_flags() {
+    let out = cirgps().arg("--help").output().expect("run");
+    assert!(out.status.success());
+    let help = String::from_utf8_lossy(&out.stdout);
+    let mut accepted: Vec<(String, Vec<String>)> = Vec::new();
+    for line in help.lines() {
+        if let Some(rest) = line.strip_prefix("  cirgps ") {
+            let cmd = rest.split_whitespace().next().unwrap();
+            accepted.push((cmd.to_string(), Vec::new()));
+        } else if let Some(rest) = line.strip_prefix("        --") {
+            let flag = rest.split_whitespace().next().unwrap();
+            accepted.last_mut().unwrap().1.push(flag.to_string());
+        }
+    }
+    assert_eq!(accepted.len(), 12, "help lists every command: {accepted:?}");
+
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut docs = vec![
+        root.join("README.md"),
+        root.join(".claude/skills/verify/SKILL.md"),
+    ];
+    for entry in std::fs::read_dir(root.join("docs")).unwrap() {
+        let path = entry.unwrap().path();
+        if path.extension().is_some_and(|e| e == "md") {
+            docs.push(path);
+        }
+    }
+    let (mut checked, mut violations) = (0, Vec::new());
+    for path in &docs {
+        // Join shell line continuations: one invocation, one line.
+        let text = std::fs::read_to_string(path).unwrap().replace("\\\n", " ");
+        for line in text.lines() {
+            for (i, _) in line.match_indices("cirgps ") {
+                let after = &line[i + "cirgps ".len()..];
+                let cmd = after.split_whitespace().next().unwrap_or("");
+                let Some((_, flags)) = accepted.iter().find(|(c, _)| c == cmd) else {
+                    continue;
+                };
+                // An invocation ends where prose, a pipe, a redirect or a
+                // comment starts.
+                let end = after
+                    .find(['`', '|', ';', '&', '>', '#', ')'])
+                    .unwrap_or(after.len());
+                for token in after[..end].split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+                {
+                    let Some(flag) = token.strip_prefix("--").filter(|f| !f.is_empty()) else {
+                        continue;
+                    };
+                    checked += 1;
+                    if !flags.iter().any(|f| f == flag) {
+                        violations.push(format!(
+                            "{}: --{flag} in `cirgps {cmd}`: {line}",
+                            path.display()
+                        ));
+                    }
+                }
+            }
+        }
+    }
+    assert!(checked > 50, "the docs scan checked only {checked} flags");
+    assert!(
+        violations.is_empty(),
+        "flags the commands do not accept:\n{}",
+        violations.join("\n")
+    );
 }
 
 /// The complete few-shot workflow through the CLI alone: pretrain on a
@@ -425,8 +544,8 @@ fn cli_training_pipeline_end_to_end() {
 }
 
 /// A shape-mismatched checkpoint must produce the named error (param
-/// name + expected vs found shape), not a bare I/O error; a valid legacy
-/// dump must load with a deprecation warning.
+/// name + expected vs found shape), not a bare I/O error; a retired raw
+/// `CGPS` weight dump must fail with an error that says how to migrate.
 #[test]
 fn cli_checkpoint_mismatch_and_legacy_warnings() {
     use cirgps::model::{CircuitGps, ModelConfig};
@@ -444,19 +563,31 @@ fn cli_checkpoint_mismatch_and_legacy_warnings() {
     let sp = format!("{dir_s}/TIMING_CONTROL.sp");
     let spf = format!("{dir_s}/TIMING_CONTROL.spf");
 
-    // Legacy dump of a NON-default architecture: loading assumes the
-    // default config, so the loader must name the mismatched parameter
-    // and both shapes.
-    let bad = format!("{dir_s}/bad.ckpt");
-    let model = CircuitGps::new(ModelConfig {
+    // A v1 container (layout in docs/checkpoint-format.md) whose
+    // embedded config is the default but whose param blob comes from a
+    // NON-default architecture: the loader must name the mismatched
+    // parameter and both shapes. Both pieces are sliced out of v2 files:
+    // magic, version, body_len, then config_len + config block, the
+    // blob, a u32 section count and the u32 CRC footer.
+    let v2 = |cfg: ModelConfig| {
+        let mut bytes = Vec::new();
+        CircuitGps::new(cfg).save_checkpoint(&mut bytes).unwrap();
+        bytes
+    };
+    let config_end = |v2: &[u8]| 24 + u64::from_le_bytes(v2[16..24].try_into().unwrap()) as usize;
+    let default = v2(ModelConfig::default());
+    let small = v2(ModelConfig {
         hidden_dim: 16,
         pe_dim: 4,
         heads: 2,
         ..ModelConfig::default()
     });
-    model
-        .save(std::fs::File::create(&bad).unwrap())
-        .expect("write legacy dump");
+    let mut v1 = b"CGPC".to_vec();
+    v1.extend_from_slice(&1u32.to_le_bytes());
+    v1.extend_from_slice(&default[16..config_end(&default)]);
+    v1.extend_from_slice(&small[config_end(&small)..small.len() - 8]);
+    let bad = format!("{dir_s}/bad.ckpt");
+    std::fs::write(&bad, &v1).unwrap();
     let out = cirgps()
         .args([
             "predict",
@@ -480,18 +611,17 @@ fn cli_checkpoint_mismatch_and_legacy_warnings() {
     assert!(err.contains("checkpoint has"), "{err}");
     assert!(err.contains("enc."), "should name the parameter: {err}");
 
-    // A default-config legacy dump still loads — with the deprecation
-    // warning steering users to the self-describing container.
-    let legacy = format!("{dir_s}/legacy.ckpt");
-    let model = CircuitGps::new(ModelConfig::default());
-    model
-        .save(std::fs::File::create(&legacy).unwrap())
-        .expect("write legacy dump");
+    // A raw `CGPS` dump (magic + param blob, no config) is no longer
+    // read; the error says so and how to migrate.
+    let raw = format!("{dir_s}/raw.ckpt");
+    let mut dump = b"CGPS".to_vec();
+    dump.extend_from_slice(&default[config_end(&default)..default.len() - 8]);
+    std::fs::write(&raw, &dump).unwrap();
     let out = cirgps()
         .args([
             "predict",
             "--model",
-            &legacy,
+            &raw,
             "--netlist",
             &sp,
             "--top",
@@ -503,10 +633,11 @@ fn cli_checkpoint_mismatch_and_legacy_warnings() {
         ])
         .output()
         .expect("run predict");
+    assert!(!out.status.success());
     let err = String::from_utf8_lossy(&out.stderr);
-    assert!(out.status.success(), "legacy load failed: {err}");
-    assert!(err.contains("legacy raw weight dump"), "{err}");
-    assert!(err.contains("deprecated"), "{err}");
+    assert!(err.contains("raw dumps are no longer read"), "{err}");
+    assert!(err.contains("older cirgps build"), "{err}");
+    assert!(err.contains("retrain"), "{err}");
 
     let _ = std::fs::remove_dir_all(&dir);
 }
