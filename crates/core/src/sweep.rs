@@ -15,7 +15,9 @@
 //!    it).
 //! 2. **Shared extraction** — one [`SweepSampler`] serves every pair,
 //!    reusing visited stamps, the local-relabel map, and the BFS
-//!    scratch across the sweep (see `subgraph_sample::SweepSampler`).
+//!    scratch across the sweep, and gathering a supply net's few
+//!    induced arcs from the other side instead of scanning its whole
+//!    adjacency (see `subgraph_sample::SweepSampler`).
 //! 3. **Neighborhood deduplication** — the model's forward pass depends
 //!    only on the subgraph's *content* (types, features, arcs, anchor
 //!    distances), never on parent node ids. Pairs whose enclosing
@@ -23,7 +25,10 @@
 //!    where cell neighborhoods repeat thousands of times — share one
 //!    prepared sample: PE (including LapPE), normalization and the
 //!    forward pass run once per *neighborhood class* and fan out to
-//!    every matching pair.
+//!    every matching pair. The memo looks a content hash up and
+//!    confirms the hit field by field against the class's stored
+//!    subgraph, so it allocates nothing per pair and a hash collision
+//!    cannot merge two classes.
 //! 4. **Size-binned batching** — unique samples are ordered by node
 //!    count before being packed into the block-diagonal batch
 //!    machinery, keeping tiles homogeneous; [`SweepConfig::threads`]
@@ -99,40 +104,84 @@ pub struct SweepStats {
     pub aborted: bool,
 }
 
-/// Serializes the forward-relevant content of a subgraph: everything
-/// except the parent node ids. Two subgraphs with equal keys produce
-/// bitwise-identical predictions (the forward pass never reads
-/// `Subgraph::nodes`), and comparison is by full byte equality, so a
-/// hash collision cannot merge distinct neighborhoods.
-fn neighborhood_key(sub: &Subgraph) -> Vec<u8> {
-    let n = sub.num_nodes();
-    let e = sub.src.len();
-    let mut key = Vec::with_capacity(16 + n * (1 + 4 * circuit_graph::XC_DIM / 4 + 2) + e * 9);
-    key.extend_from_slice(&(n as u32).to_le_bytes());
-    key.extend_from_slice(&(e as u32).to_le_bytes());
-    key.push(sub.num_anchors as u8);
-    for &t in &sub.node_types {
-        key.push(t as u8);
+/// Hashes the forward-relevant content of a subgraph: everything
+/// except the parent node ids (the forward pass never reads
+/// `Subgraph::nodes`). Only a lookup aid — [`Memo`] confirms every hit
+/// with [`same_content`].
+fn content_hash(sub: &Subgraph) -> u64 {
+    // FxHash's word mix: one rotate, xor and multiply per word.
+    let mut h = 0u64;
+    let mut mix = |w: u64| h = (h.rotate_left(5) ^ w).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    mix(sub.num_nodes() as u64);
+    mix(sub.src.len() as u64);
+    mix(sub.num_anchors as u64);
+    sub.node_types.iter().for_each(|&t| mix(t as u64));
+    sub.xc.iter().for_each(|x| mix(x.to_bits() as u64));
+    sub.src.iter().for_each(|&s| mix(s as u64));
+    sub.dst.iter().for_each(|&d| mix(d as u64));
+    sub.edge_types.iter().for_each(|&t| mix(t as u64));
+    sub.dist_a.iter().for_each(|&d| mix(d as u64));
+    sub.dist_b.iter().for_each(|&d| mix(d as u64));
+    h
+}
+
+/// Whether two subgraphs give bitwise-identical predictions: equal in
+/// every field but the parent node ids, with `xc` compared bit for bit
+/// (`0.0` and `-0.0` differ).
+fn same_content(a: &Subgraph, b: &Subgraph) -> bool {
+    a.node_types == b.node_types
+        && a.xc.len() == b.xc.len()
+        && a.xc
+            .iter()
+            .zip(&b.xc)
+            .all(|(x, y)| x.to_bits() == y.to_bits())
+        && a.src == b.src
+        && a.dst == b.dst
+        && a.edge_types == b.edge_types
+        && a.num_anchors == b.num_anchors
+        && a.dist_a == b.dist_a
+        && a.dist_b == b.dist_b
+}
+
+/// Window-local neighbourhood memo: content hash → classes. Classes
+/// with equal hashes chain, and a hit is confirmed by [`same_content`],
+/// so a hash collision cannot merge distinct neighbourhoods.
+#[derive(Debug, Default)]
+struct Memo {
+    /// Per hash, the newest class with it.
+    head: HashMap<u64, usize>,
+    /// Per class, the previous class with the same hash.
+    prev: Vec<Option<usize>>,
+}
+
+impl Memo {
+    fn clear(&mut self) {
+        self.head.clear();
+        self.prev.clear();
     }
-    for &x in &sub.xc {
-        key.extend_from_slice(&x.to_bits().to_le_bytes());
+
+    /// The class whose representative (`rep`) has `sub`'s content, or
+    /// `None` after registering `sub` as the next class, numbered in
+    /// first-seen order from 0.
+    fn find_or_add<'s>(
+        &mut self,
+        hash: u64,
+        sub: &Subgraph,
+        rep: impl Fn(usize) -> &'s Subgraph,
+    ) -> Option<usize> {
+        let new = self.prev.len();
+        let mut link = self.head.get(&hash).copied();
+        let newest = link;
+        while let Some(c) = link {
+            if same_content(rep(c), sub) {
+                return Some(c);
+            }
+            link = self.prev[c];
+        }
+        self.prev.push(newest);
+        self.head.insert(hash, new);
+        None
     }
-    for &s in &sub.src {
-        key.extend_from_slice(&(s as u32).to_le_bytes());
-    }
-    for &d in &sub.dst {
-        key.extend_from_slice(&(d as u32).to_le_bytes());
-    }
-    for &t in &sub.edge_types {
-        key.push(t as u8);
-    }
-    for &d in &sub.dist_a {
-        key.push(d as u8);
-    }
-    for &d in &sub.dist_b {
-        key.push(d as u8);
-    }
-    key
 }
 
 /// Runs the batched forward over `uniques` in size-binned order, split
@@ -233,7 +282,7 @@ pub fn sweep_pairs(
     let mut iter = pairs.into_iter();
     let mut window: Vec<(u32, u32)> = Vec::with_capacity(cfg.chunk);
     // Window-local state, cleared per chunk (the bounded-memory window).
-    let mut memo: HashMap<Vec<u8>, usize> = HashMap::new();
+    let mut memo = Memo::default();
     let mut uniques: Vec<PreparedSample> = Vec::new();
     let mut pair_class: Vec<usize> = Vec::with_capacity(cfg.chunk);
 
@@ -254,15 +303,14 @@ pub fn sweep_pairs(
         pair_class.clear();
         for &(a, b) in &window {
             sampler.extract_into(a, b, &mut scratch);
-            let key = neighborhood_key(&scratch);
-            let class = match memo.get(&key) {
-                Some(&c) => {
+            let hash = content_hash(&scratch);
+            let class = match memo.find_or_add(hash, &scratch, |c| &uniques[c].sub) {
+                Some(c) => {
                     stats.dedup_hits += 1;
                     c
                 }
                 None => {
                     let c = uniques.len();
-                    memo.insert(key, c);
                     uniques.push(PreparedSample::new(
                         scratch.clone(),
                         model.cfg.pe,
@@ -631,6 +679,97 @@ mod tests {
         assert!(stats.aborted);
         assert_eq!(stats.pairs, 5);
         assert_eq!(stats.chunks, 1);
+    }
+
+    #[test]
+    fn stats_match_the_byte_key_memo() {
+        // Recorded from the memo this one replaced, which keyed classes
+        // by the serialized content bytes: the hash-and-compare memo
+        // forms the same classes, window by window.
+        let (g, links) = toy_graph_and_links();
+        let xcn = XcNormalizer::fit(&[&g]);
+        let model = toy_model();
+        let mut doubled = links.clone();
+        doubled.extend_from_slice(&links);
+        let cand: Vec<(u32, u32)> = CandidatePairs::new(&g, 4, 0).collect();
+        for (pairs, chunk, max_nodes, want) in [
+            (&links, 7usize, 64usize, (20usize, 0usize, 7usize)),
+            (&doubled, 40, 64, (20, 20, 20)),
+            (&cand, 8, 64, (42, 0, 8)),
+            (&cand, 16, 4, (40, 2, 16)),
+        ] {
+            let cfg = SweepConfig {
+                chunk,
+                sampler: SamplerConfig { hops: 1, max_nodes },
+                ..Default::default()
+            };
+            let (_, s) = collect_sweep(&model, &xcn, &g, pairs, &cfg);
+            assert_eq!(s.pairs, pairs.len());
+            assert_eq!(
+                (s.unique_forwards, s.dedup_hits, s.peak_resident),
+                want,
+                "chunk {chunk} max_nodes {max_nodes}"
+            );
+        }
+    }
+
+    #[test]
+    fn signed_zero_features_form_separate_classes() {
+        // Three copies of net + two pins; the second copy's first pin
+        // carries -0.0 where the others carry 0.0. `f32 ==` would merge
+        // it with the first copy; the memo compares bits.
+        let mut b = GraphBuilder::new();
+        let mut pairs = Vec::new();
+        for copy in 0..3 {
+            let net = b.add_node(NodeType::Net, &format!("n{copy}"));
+            let p = b.add_node(NodeType::Pin, &format!("p{copy}"));
+            let q = b.add_node(NodeType::Pin, &format!("q{copy}"));
+            b.set_xc(p, 1, if copy == 1 { -0.0 } else { 0.0 });
+            b.add_edge(net, p, EdgeType::NetPin);
+            b.add_edge(net, q, EdgeType::NetPin);
+            pairs.push((p, q));
+        }
+        let g = b.build();
+        let mut sampler = SweepSampler::new(&g, SamplerConfig::default());
+        let (a, b) = (pairs[0], pairs[1]);
+        let (a, b) = (
+            sampler.enclosing_subgraph(a.0, a.1),
+            sampler.enclosing_subgraph(b.0, b.1),
+        );
+        assert!(!same_content(&a, &b), "0.0 and -0.0 compare equal");
+        let xcn = XcNormalizer::fit(&[&g]);
+        let model = toy_model();
+        let cfg = SweepConfig::default();
+        let (got, s) = collect_sweep(&model, &xcn, &g, &pairs, &cfg);
+        assert_eq!((s.unique_forwards, s.dedup_hits), (2, 1));
+        let want =
+            InferenceSession::shared(&model, xcn.clone(), &g, cfg.sampler).predict_links(&pairs);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&want));
+    }
+
+    #[test]
+    fn colliding_hashes_chain_apart() {
+        let (g, _) = toy_graph_and_links();
+        let mut sampler = SweepSampler::new(&g, SamplerConfig::default());
+        let subs = [
+            sampler.enclosing_subgraph(1, 2),
+            sampler.enclosing_subgraph(8, 9),
+            sampler.enclosing_subgraph(0, 7),
+        ];
+        assert!(!same_content(&subs[0], &subs[1]) && !same_content(&subs[1], &subs[2]));
+        let mut memo = Memo::default();
+        let rep = |c: usize| &subs[c];
+        // Every subgraph under one hash value: each distinct one opens
+        // its own class, and each repeat finds its own.
+        for (c, sub) in subs.iter().enumerate() {
+            assert_eq!(memo.find_or_add(7, sub, rep), None, "class {c} merged");
+        }
+        for (c, sub) in subs.iter().enumerate() {
+            assert_eq!(memo.find_or_add(7, sub, rep), Some(c));
+        }
+        memo.clear();
+        assert_eq!(memo.find_or_add(7, &subs[1], |_| &subs[1]), None);
     }
 
     #[test]

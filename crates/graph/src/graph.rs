@@ -67,6 +67,9 @@ pub struct CircuitGraph {
     offsets: Vec<u32>,
     neighbors: Vec<u32>,
     nbr_types: Vec<u8>,
+    /// Per arc slot, the slot of the same edge's arc in the other
+    /// endpoint's list (`rev[rev[k]] == k`).
+    rev: Vec<u32>,
     num_undirected: usize,
 }
 
@@ -101,6 +104,19 @@ impl CircuitGraph {
         let s = self.offsets[v as usize] as usize;
         let e = self.offsets[v as usize + 1] as usize;
         (&self.neighbors[s..e], &self.nbr_types[s..e])
+    }
+
+    /// The CSR slot of `v`'s first arc: the `i`-th entry of
+    /// [`CircuitGraph::adjacency`]`(v)` is slot `first_slot(v) + i`.
+    pub fn first_slot(&self, v: u32) -> usize {
+        self.offsets[v as usize] as usize
+    }
+
+    /// The slot of arc `k`'s twin: for the arc `v → w` at slot `k`, the
+    /// slot of the same edge's arc `w → v` in `w`'s list. Parallel edges
+    /// have distinct twins.
+    pub fn reverse_slot(&self, k: usize) -> usize {
+        self.rev[k] as usize
     }
 
     /// Degree of `v` (including injected links).
@@ -306,6 +322,7 @@ impl GraphBuilder {
         let total = offsets[n] as usize;
         let mut neighbors = vec![0u32; total];
         let mut nbr_types = vec![0u8; total];
+        let mut rev = vec![0u32; total];
         let mut cursor = offsets.clone();
         for e in &self.edges {
             let ka = cursor[e.a as usize] as usize;
@@ -316,6 +333,8 @@ impl GraphBuilder {
             neighbors[kb] = e.a;
             nbr_types[kb] = e.ty.code() as u8;
             cursor[e.b as usize] += 1;
+            rev[ka] = kb as u32;
+            rev[kb] = ka as u32;
         }
         CircuitGraph {
             node_types: self.node_types,
@@ -325,6 +344,7 @@ impl GraphBuilder {
             offsets,
             neighbors,
             nbr_types,
+            rev,
             num_undirected: self.edges.len(),
         }
     }
@@ -389,6 +409,56 @@ mod tests {
         assert_eq!(g2.edge_type_counts()[EdgeType::CouplingNetNet.code()], 1);
         // Original untouched.
         assert!(!g.has_edge(0, 3));
+    }
+
+    /// Checks every arc's twin: an involution onto the owner with the
+    /// same type code.
+    fn assert_reverse_slots(g: &CircuitGraph) {
+        for v in 0..g.num_nodes() as u32 {
+            let (nbrs, tys) = g.adjacency(v);
+            for (i, (&w, &t)) in nbrs.iter().zip(tys).enumerate() {
+                let k = g.first_slot(v) + i;
+                let r = g.reverse_slot(k);
+                assert_eq!(g.reverse_slot(r), k, "arc {k} of node {v}");
+                let j = r - g.first_slot(w);
+                assert!(j < g.degree(w), "twin of arc {k} lies outside node {w}");
+                assert_eq!(g.adjacency(w).0[j], v, "twin of arc {k} points back");
+                assert_eq!(g.adjacency(w).1[j], t, "twin of arc {k} has its type");
+            }
+        }
+    }
+
+    #[test]
+    fn reverse_slots_pair_each_arc_with_its_twin() {
+        let g = tiny();
+        assert_reverse_slots(&g);
+        // Parallel edges: an injected coupling over an existing NetPin,
+        // plus a second injected link between the same endpoints.
+        let g2 = g.with_injected_links(&[
+            Edge {
+                a: 0,
+                b: 1,
+                ty: EdgeType::CouplingPinNet,
+            },
+            Edge {
+                a: 1,
+                b: 0,
+                ty: EdgeType::CouplingPinNet,
+            },
+            Edge {
+                a: 0,
+                b: 3,
+                ty: EdgeType::CouplingNetNet,
+            },
+        ]);
+        assert_reverse_slots(&g2);
+        let slots: Vec<usize> = (0..g2.degree(0))
+            .map(|i| g2.reverse_slot(g2.first_slot(0) + i))
+            .collect();
+        let mut distinct = slots.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(distinct.len(), slots.len(), "parallel arcs share a twin");
     }
 
     #[test]

@@ -17,12 +17,20 @@
 //!   queue entirely,
 //! - [`SweepSampler::extract_into`] reuses the output buffers of a
 //!   caller-owned [`Subgraph`], so a sweep that deduplicates repeated
-//!   neighborhoods allocates nothing at all for the duplicate pairs.
+//!   neighborhoods allocates nothing at all for the duplicate pairs,
+//! - a *hub* — a kept node with more arcs than all other kept nodes
+//!   together, typically the supply net a pin hangs off — does not have
+//!   its adjacency scanned: its induced arcs are found in the other kept
+//!   nodes' lists, mapped through [`CircuitGraph::reverse_slot`] to
+//!   their slots in the hub's list, and sorted back into that order. A
+//!   pair then costs the subgraph's size, not its nets' degrees.
 //!
 //! Equality with [`SubgraphSampler`] is exact, not approximate: node
 //! order, arc order, and clamped BFS distances follow the same
 //! deterministic construction (checked field-for-field by the tests
-//! below and by the randomized parity property in `tests/proptests.rs`).
+//! below and by the randomized parity properties in
+//! `tests/proptests.rs`). [`SubgraphSampler`] keeps the plain scan, as
+//! the reference those properties compare against.
 
 use circuit_graph::{BfsScratch, CircuitGraph, XC_DIM};
 
@@ -93,6 +101,8 @@ pub struct SweepSampler<'g> {
     csr_cur: Vec<u32>,
     csr_adj: Vec<u32>,
     queue: Vec<u32>,
+    /// A hub's induced arcs as `(slot in the hub's list, local source)`.
+    hub_arcs: Vec<(u32, u32)>,
 }
 
 impl<'g> SweepSampler<'g> {
@@ -107,6 +117,7 @@ impl<'g> SweepSampler<'g> {
             csr_cur: Vec::new(),
             csr_adj: Vec::new(),
             queue: Vec::new(),
+            hub_arcs: Vec::new(),
         }
     }
 
@@ -187,9 +198,10 @@ impl<'g> SweepSampler<'g> {
 
         // Phase 2: parent → local relabeling over the *kept* nodes (a
         // fresh stamp generation, so truncated nodes drop out), then the
-        // gathered node features and induced arcs — the same loops as
+        // gathered node features and induced arcs — the output of
         // `SubgraphSampler::build`, with the `HashMap` lookups replaced
-        // by stamp-array probes.
+        // by stamp-array probes and a hub's arcs gathered from the other
+        // side.
         let n_local = out.nodes.len();
         self.seen.begin();
         for (i, &v) in out.nodes.iter().enumerate() {
@@ -204,23 +216,61 @@ impl<'g> SweepSampler<'g> {
             out.xc.extend_from_slice(self.graph.xc_row(v));
         }
 
-        // SEAL protocol: mask the target link out of its own subgraph
-        // (coupling arcs between local 0 and 1), as in `SubgraphSampler`.
-        out.src.clear();
-        out.dst.clear();
-        out.edge_types.clear();
-        for (i, &v) in out.nodes.iter().enumerate() {
-            let (nbrs, tys) = self.graph.adjacency(v);
-            for (&w, &t) in nbrs.iter().zip(tys) {
-                if let Some(j) = self.seen.get(w) {
-                    let j = j as usize;
-                    if (t as usize) >= 2 && ((i == 0 && j == 1) || (i == 1 && j == 0)) {
-                        continue;
+        // Induced arcs, per kept node in adjacency order. SEAL protocol:
+        // mask the target link out of its own subgraph (coupling arcs
+        // between local 0 and 1), as in `SubgraphSampler`.
+        let Subgraph {
+            nodes,
+            src,
+            dst,
+            edge_types,
+            ..
+        } = out;
+        src.clear();
+        dst.clear();
+        edge_types.clear();
+        let mut push_arc = |i: usize, j: usize, t: u8| {
+            if t >= 2 && i + j == 1 {
+                return;
+            }
+            src.push(j);
+            dst.push(i);
+            edge_types.push(t as usize);
+        };
+        let graph = self.graph;
+        let degree_sum: usize = nodes.iter().map(|&v| graph.degree(v)).sum();
+        for (i, &v) in nodes.iter().enumerate() {
+            let (nbrs, tys) = graph.adjacency(v);
+            if 2 * nbrs.len() <= degree_sum {
+                for (&w, &t) in nbrs.iter().zip(tys) {
+                    if let Some(j) = self.seen.get(w) {
+                        push_arc(i, j as usize, t);
                     }
-                    out.src.push(j);
-                    out.dst.push(i);
-                    out.edge_types.push(t as usize);
                 }
+                continue;
+            }
+            // A hub (a supply net, say) has more arcs than every other
+            // kept node together, and almost none of them stay inside
+            // the subgraph: find them from the other side instead. Each
+            // arc `u → v` names its twin's slot in `v`'s list; sorting by
+            // that slot restores `v`'s adjacency order.
+            self.hub_arcs.clear();
+            let first = graph.first_slot(v);
+            for (j, &u) in nodes.iter().enumerate() {
+                if j == i {
+                    continue;
+                }
+                let base = graph.first_slot(u);
+                for (k, &w) in graph.adjacency(u).0.iter().enumerate() {
+                    if w == v {
+                        let slot = graph.reverse_slot(base + k) - first;
+                        self.hub_arcs.push((slot as u32, j as u32));
+                    }
+                }
+            }
+            self.hub_arcs.sort_unstable();
+            for &(slot, j) in &self.hub_arcs {
+                push_arc(i, j as usize, tys[slot as usize]);
             }
         }
         out.num_anchors = 2;

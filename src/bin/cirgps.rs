@@ -46,18 +46,27 @@ use cirgps::spice::{net_capacitances, simulate_energy};
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(name) = args.first() else {
-        eprintln!("{}", usage());
+        eprintln!("{}", usage(COMMANDS));
         return ExitCode::FAILURE;
     };
-    // Help never flag-parses: `cirgps help gen` must print usage, not
-    // complain about the positional "gen".
-    if matches!(name.as_str(), "--help" | "-h" | "help") {
-        println!("{}", usage());
-        return ExitCode::SUCCESS;
-    }
-    let result = match COMMANDS.iter().find(|c| c.name == name) {
-        Some(cmd) => Args::parse(cmd, &args[1..]).and_then(|a| (cmd.run)(&a)),
-        None => Err(format!("unknown command {name:?}\n{}", usage())),
+    let find = |name: &str| COMMANDS.iter().find(|c| c.name == name);
+    let help = |cmds: &[Cmd]| {
+        println!("{}", usage(cmds));
+        Ok(())
+    };
+    // Help never flag-parses: `cirgps help gen` prints gen's section,
+    // and so does `cirgps gen --help`, whatever else is on the line.
+    let result = match (name.as_str(), args.get(1)) {
+        ("--help" | "-h" | "help", None) => help(COMMANDS),
+        ("--help" | "-h" | "help", Some(topic)) => match find(topic) {
+            Some(cmd) => help(std::slice::from_ref(cmd)),
+            None => Err(format!("unknown command {topic:?}\n{}", usage(COMMANDS))),
+        },
+        _ => match find(name) {
+            Some(cmd) if args[1..].iter().any(|a| a == "--help") => help(std::slice::from_ref(cmd)),
+            Some(cmd) => Args::parse(cmd, &args[1..]).and_then(|a| (cmd.run)(&a)),
+            None => Err(format!("unknown command {name:?}\n{}", usage(COMMANDS))),
+        },
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -489,11 +498,11 @@ impl Args {
 /// Help output width in columns.
 const WIDTH: usize = 80;
 
-/// Renders `cirgps help` from [`COMMANDS`]: per command a synopsis, its
-/// description and one line per flag with its default.
-fn usage() -> String {
+/// Renders `cirgps help` for `cmds` (rows of [`COMMANDS`]): per command
+/// a synopsis, its description and one line per flag with its default.
+fn usage(cmds: &[Cmd]) -> String {
     let mut out = String::from("cirgps — few-shot parasitic prediction pipeline\n\nUSAGE:\n");
-    for cmd in COMMANDS {
+    for cmd in cmds {
         out.push_str(&format!("\n  cirgps {}", cmd.name));
         let synopsis = cmd.flags.iter().map(|f| format!("[{}]", f.usage()));
         wrap(&mut out, cmd.name.len() + 10, synopsis);

@@ -304,6 +304,43 @@ fn cli_usage_documents_every_subcommand() {
     }
 }
 
+#[test]
+fn cli_help_for_one_command_prints_only_its_section() {
+    let full = cirgps().arg("help").output().expect("run");
+    assert!(full.status.success());
+    let full = String::from_utf8_lossy(&full.stdout).into_owned();
+    let sections = |text: &str| -> Vec<String> {
+        text.lines()
+            .filter_map(|l| l.strip_prefix("  cirgps "))
+            .map(|rest| rest.split_whitespace().next().unwrap().to_string())
+            .collect()
+    };
+    assert_eq!(sections(&full).len(), 12, "bare help lists every command");
+
+    for argv in [
+        &["help", "finetune"][..],
+        &["finetune", "--help"],
+        &["finetune", "--shots", "3", "--help"],
+    ] {
+        let out = cirgps().args(argv).output().expect("run");
+        assert!(out.status.success(), "{argv:?} failed");
+        let text = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(sections(&text), ["finetune"], "{argv:?}: {text}");
+        assert!(text.contains("--unfreeze-all"), "{argv:?}: {text}");
+        // The section is the full help's own text for that command.
+        let body = text.split_once("  cirgps finetune").unwrap().1;
+        assert!(
+            full.contains(body.trim_end()),
+            "{argv:?} differs from the full help"
+        );
+    }
+
+    let out = cirgps().args(["help", "bogus"]).output().expect("run");
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown command \"bogus\""), "{err}");
+}
+
 /// Every `cirgps <cmd> … --flag` invocation in the docs uses a flag that
 /// `cirgps --help` lists for that command. The help is generated from
 /// the CLI's command table, so it is the authoritative flag list.

@@ -161,6 +161,75 @@ proptest! {
     }
 
     #[test]
+    fn sweep_extraction_gathers_hub_arcs_in_adjacency_order(
+        leaves in 6u32..40,
+        extra in proptest::collection::vec((0u32..40, 0u32..40, 0u32..2), 0..30),
+        links in proptest::collection::vec((0u32..41, 0u32..41, 0u32..3), 1..20),
+        hops in 1u32..3,
+        max_nodes in 3usize..24,
+    ) {
+        // A star whose centre outweighs the rest of most kept sets, so
+        // `SweepSampler` gathers the centre's arcs from the leaves' side.
+        // Random extra edges and injected links add parallel edges
+        // (couplings over existing schematic edges, repeated links),
+        // pairs over injected links exercise the SEAL target mask, and
+        // small `max_nodes` truncates.
+        let mut b = GraphBuilder::new();
+        let centre = b.add_node(NodeType::Net, "c");
+        for i in 0..leaves {
+            let v = b.add_node(NodeType::Pin, &format!("l{i}"));
+            b.set_xc(v, 0, (i % 4) as f32);
+            b.add_edge(centre, v, EdgeType::NetPin);
+        }
+        let n = leaves + 1;
+        for &(x, y, t) in &extra {
+            let (x, y) = (x % n, y % n);
+            if x != y {
+                let ty = if t == 0 { EdgeType::NetPin } else { EdgeType::DevicePin };
+                b.add_edge(x, y, ty);
+            }
+        }
+        let injected: Vec<Edge> = links
+            .iter()
+            .map(|&(x, y, t)| (x % n, y % n, t))
+            .filter(|&(x, y, _)| x != y)
+            .map(|(a, b, t)| Edge {
+                a,
+                b,
+                ty: match t {
+                    0 => EdgeType::CouplingPinNet,
+                    1 => EdgeType::CouplingPinPin,
+                    _ => EdgeType::CouplingNetNet,
+                },
+            })
+            .collect();
+        prop_assume!(!injected.is_empty());
+        let g = b.build().with_injected_links(&injected);
+        let cfg = SamplerConfig { hops, max_nodes };
+
+        let mut pairs: Vec<(u32, u32)> = injected.iter().map(|e| (e.a, e.b)).collect();
+        pairs.extend(injected.iter().map(|e| (e.b, e.a)));
+        pairs.extend((1..n).map(|v| (v, n - v)).filter(|&(a, b)| a != b));
+        pairs.extend([(centre, 1), (1, centre)]);
+        let mut shared = SweepSampler::new(&g, cfg);
+        let mut buf = shared.enclosing_subgraph(pairs[0].0, pairs[0].1);
+        for &(m, n) in &pairs {
+            shared.extract_into(m, n, &mut buf);
+            let want = SubgraphSampler::new(&g, cfg).enclosing_subgraph(m, n);
+            prop_assert_eq!(&buf.nodes, &want.nodes);
+            prop_assert_eq!(&buf.node_types, &want.node_types);
+            prop_assert_eq!(&buf.src, &want.src);
+            prop_assert_eq!(&buf.dst, &want.dst);
+            prop_assert_eq!(&buf.edge_types, &want.edge_types);
+            prop_assert_eq!(&buf.dist_a, &want.dist_a);
+            prop_assert_eq!(&buf.dist_b, &want.dist_b);
+            let got_bits: Vec<u32> = buf.xc.iter().map(|v| v.to_bits()).collect();
+            let want_bits: Vec<u32> = want.xc.iter().map(|v| v.to_bits()).collect();
+            prop_assert_eq!(got_bits, want_bits);
+        }
+    }
+
+    #[test]
     fn rwse_values_are_probabilities(
         edges in proptest::collection::vec((0u32..20, 0u32..20), 1..60),
     ) {
